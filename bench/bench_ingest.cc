@@ -8,9 +8,8 @@
 // the deepest non-overlapping level.
 //
 // --phase=load (default)    put-backfill vs. ingest wall time per variant
-// --phase=maintenance       Put workload under each IndexMaintenance mode
 //
-// Output: one JSON object per line ("bench":"ingest" / "ingest_maintenance").
+// Output: one JSON object per line ("bench":"ingest").
 
 #include <memory>
 #include <string>
@@ -123,66 +122,6 @@ void RunLoad(IndexType type, uint64_t docs, size_t pad,
   }
 }
 
-const char* ModeName(IndexMaintenance m) {
-  switch (m) {
-    case IndexMaintenance::kSync: return "sync";
-    case IndexMaintenance::kDeferredBatch: return "deferred";
-    case IndexMaintenance::kTimestampValidated: return "timestamp";
-  }
-  return "?";
-}
-
-void RunMaintenance(IndexType type, uint64_t docs, size_t pad,
-                    uint64_t lookup_every) {
-  for (IndexMaintenance mode :
-       {IndexMaintenance::kSync, IndexMaintenance::kDeferredBatch,
-        IndexMaintenance::kTimestampValidated}) {
-    Statistics stats;
-    std::string path = ScratchRoot() + "/maint_" + Name(type);
-    DestroyTree(path);
-    SecondaryDBOptions options = MakeOptions(type, &stats, 1 << 20);
-    options.index_maintenance = mode;
-    std::unique_ptr<SecondaryDB> db;
-    CheckOk(SecondaryDB::Open(options, path, &db), "open");
-
-    // Updates included (keys wrap over half the doc count) so the index
-    // write path does real delete-old-posting work, and periodic LOOKUPs so
-    // the deferred mode pays its query-time drains inside the window.
-    std::vector<QueryResult> results;
-    uint64_t lookups = 0;
-    Timer timer;
-    for (uint64_t i = 0; i < docs; i++) {
-      CheckOk(db->Put(DocKey(i % (docs / 2 + 1)), Doc(i, pad)), "put");
-      if (lookup_every != 0 && (i + 1) % lookup_every == 0) {
-        CheckOk(db->Lookup("UserID", "u" + std::to_string(i % 1000), 10,
-                           &results),
-                "lookup");
-        lookups++;
-      }
-    }
-    CheckOk(db->primary()->WaitForBackgroundWork(), "drain");
-    const uint64_t micros = timer.ElapsedMicros();
-
-    JsonLine("ingest_maintenance")
-        .Str("variant", Name(type))
-        .Str("mode", ModeName(mode))
-        .Int("docs", docs)
-        .Int("lookups", lookups)
-        .Int("micros", micros)
-        .Double("kdocs_per_sec",
-                micros > 0 ? (docs / 1000.0) / (micros / 1e6) : 0)
-        .Int("deferred_ops", stats.Get(kIndexDeferredOps))
-        .Int("deferred_applies", stats.Get(kIndexDeferredApplies))
-        .Int("timestamp_validations", stats.Get(kTimestampValidations))
-        .Int("timestamp_rejects", stats.Get(kTimestampRejects))
-        .Int("index_write_bytes", db->TotalTicker(kWalBytesWritten) -
-                                      stats.Get(kWalBytesWritten))
-        .Emit();
-    db.reset();
-    DestroyTree(path);
-  }
-}
-
 std::vector<IndexType> ParseTypes(const std::string& spec) {
   std::vector<IndexType> out;
   size_t pos = 0;
@@ -226,14 +165,8 @@ int main(int argc, char** argv) {
     // a floor, not an artifact of a starved memtable.
     const size_t put_write_buffer = flags.GetInt("write_buffer", 4 << 20);
     for (IndexType t : types) RunLoad(t, docs, pad, put_write_buffer);
-  } else if (phase == "maintenance") {
-    const uint64_t lookup_every = flags.GetInt("lookup_every", 5000);
-    for (IndexType t : types) {
-      if (t == IndexType::kNoIndex || t == IndexType::kEmbedded) continue;
-      RunMaintenance(t, docs, pad, lookup_every);
-    }
   } else {
-    std::fprintf(stderr, "unknown --phase=%s (load|maintenance)\n",
+    std::fprintf(stderr, "unknown --phase=%s (load)\n",
                  phase.c_str());
     return 1;
   }

@@ -21,8 +21,6 @@
 #     index-maintenance write path), 200k on the remaining stand-alone
 #     variants (Eager's read-modify-write backfill is ~30x slower; same
 #     feed either way).
-#   * bench_ingest --phase=maintenance — Put throughput under each
-#     IndexMaintenance mode, 100k docs.
 #   * bench_fig9_put_over_time — the paper's Figure 9 PUT-latency windows,
 #     guarding the default (non-pipelined) write path against regressions.
 #   * bench_serve — the sharded serving layer: mixed PUT/LOOKUP (10%
@@ -90,10 +88,6 @@ echo "==> ingest load (1M docs, Embedded + Lazy)"
 echo "==> ingest load (200k docs, remaining stand-alone variants)"
 "${bin}/bench/bench_ingest" --phase=load --docs=200000 \
   --types=noindex,eager,composite >> "${tmp}"
-
-echo "==> maintenance modes (100k docs)"
-"${bin}/bench/bench_ingest" --phase=maintenance --docs=100000 \
-  --types=lazy,eager,composite >> "${tmp}"
 
 echo "==> fig9 put-over-time (default write path)"
 "${bin}/bench/bench_fig9_put_over_time" --json >> "${tmp}"

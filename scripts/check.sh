@@ -68,7 +68,7 @@ fi
 # Ingestion: the pipelined-flush suite drives multiple writers against a
 # deep immutable-memtable queue (TSan: rotation, stall ladder, background
 # flush all cross threads), and the bulk-load path splices externally built
-# SSTables + deferred index batches (ASan: buffer handoffs, feed chunking).
+# SSTables (ASan: buffer handoffs, feed chunking).
 # Skipped when --sanitize-all already ran the full suites.
 if [[ -n "${SAN_FILTER}" ]]; then
   echo "==> TSan ingest tests"

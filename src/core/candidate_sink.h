@@ -1,0 +1,105 @@
+// CandidateSink: the one candidate-validation loop behind every posting-list
+// query — Eager / Lazy / Composite LOOKUP and RANGELOOKUP (paper Sections
+// 4.1.1, 4.1.2, 4.2) and SecondaryDB::LookupAnd. The caller enumerates
+// postings newest-stored-first, applies its own stop rule through
+// WouldAdmit / Full / stale_admitted, and Offers each surviving
+// (primary key, stored seq). The sink owns everything after that:
+//
+//   * the per-primary-key seen-set (a key is validated at most once);
+//   * resolution against the primary table: with read_parallelism <= 1 each
+//     candidate is one GetWithMeta as soon as it is offered (the paper's
+//     sequential walk, I/O-identical to Algorithm 1); above that candidates
+//     accumulate into chunks of max(K, p) keys (K counted as 64 when
+//     unlimited), each one MultiGetWithMeta;
+//   * the record predicate (attribute in [lo, hi], or a RecordFilter);
+//   * Algorithm 1's top-K heap, and the stale_admitted flag.
+//
+// Chunked resolution only changes WHEN candidates are checked, never WHAT is
+// admitted: WouldAdmit reads the heap as of the last chunk boundary, a
+// conservative superset of the sequential pruning, and Add applies the exact
+// admission predicate in offer order — so results are byte-identical at
+// every read_parallelism.
+//
+// A NotFound from the primary is a stale posting (the record was deleted);
+// any other status — Corruption or IOError under paranoid_checks, say — is
+// returned to the caller instead of silently dropping the record.
+
+#ifndef LEVELDBPP_CORE_CANDIDATE_SINK_H_
+#define LEVELDBPP_CORE_CANDIDATE_SINK_H_
+
+#include <set>
+#include <string>
+#include <vector>
+
+#include "core/secondary_index.h"
+
+namespace leveldbpp {
+
+class CandidateSink {
+ public:
+  /// Validates a candidate by its current record's `attribute` lying in
+  /// [lo, hi]. `attribute`, `lo` and `hi` must outlive the sink.
+  CandidateSink(DBImpl* primary, size_t k, const std::string& attribute,
+                const Slice& lo, const Slice& hi);
+  /// Validates a candidate by `filter` over its current record.
+  CandidateSink(DBImpl* primary, size_t k, RecordFilter filter);
+
+  CandidateSink(const CandidateSink&) = delete;
+  CandidateSink& operator=(const CandidateSink&) = delete;
+
+  /// Could a candidate whose posting stores `stored_seq` still enter the
+  /// top-K? A validated result's seq never exceeds the stored seq of the
+  /// posting that produced it, so on a seq-descending stream the first
+  /// `false` is a sound place to stop.
+  bool WouldAdmit(SequenceNumber stored_seq) const {
+    return heap_.WouldAdmit(stored_seq);
+  }
+
+  /// True iff K results have been admitted (never for K == 0).
+  bool Full() const { return heap_.Full(); }
+
+  /// True once an admitted result validated at a LOWER seq than its posting
+  /// stored — a crash-stale posting (index written ahead of a primary put
+  /// that never committed). After that, "heap full" no longer proves that
+  /// older postings cannot displace anything.
+  bool stale_admitted() const { return stale_admitted_; }
+
+  /// Queue one candidate for validation; a primary key already offered is
+  /// ignored. Resolves the pending chunk once it is full (immediately when
+  /// read_parallelism <= 1).
+  Status Offer(const Slice& primary_key, SequenceNumber stored_seq);
+
+  /// Resolve every pending candidate now. Callers whose stop rule needs an
+  /// exact heap (Lazy's level boundary) flush before consulting it.
+  Status Flush();
+
+  /// Flush, then move out the results, newest first.
+  Status Finish(std::vector<QueryResult>* results);
+
+  /// Fetch the current records of `keys`: one GetWithMeta per key when the
+  /// primary's read_parallelism <= 1, one MultiGetWithMeta otherwise.
+  /// (*found)[i] tells whether keys[i] exists (NotFound is not an error);
+  /// any other per-key status is returned.
+  static Status Fetch(DBImpl* primary, const std::vector<Slice>& keys,
+                      std::vector<std::string>* values,
+                      std::vector<DBImpl::RecordLocation>* locs,
+                      std::vector<char>* found);
+
+ private:
+  bool Matches(const Slice& record) const;
+
+  DBImpl* const primary_;
+  TopKCollector heap_;
+  const std::string* attribute_ = nullptr;  // Range predicate when set
+  Slice lo_, hi_;
+  RecordFilter filter_;  // Otherwise this predicate
+  const size_t chunk_;
+  std::set<std::string> seen_;
+  std::vector<std::string> pending_;
+  std::vector<SequenceNumber> pending_seqs_;  // Stored seq per pending key
+  bool stale_admitted_ = false;
+};
+
+}  // namespace leveldbpp
+
+#endif  // LEVELDBPP_CORE_CANDIDATE_SINK_H_

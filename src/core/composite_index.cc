@@ -3,6 +3,7 @@
 #include <memory>
 #include <set>
 
+#include "core/candidate_sink.h"
 #include "util/coding.h"
 #include "util/perf_context.h"
 
@@ -128,52 +129,18 @@ Status CompositeIndex::RangeLookup(const Slice& lo, const Slice& hi,
               if (a.seq != b.seq) return a.seq > b.seq;
               return a.primary_key < b.primary_key;
             });
-  TopKCollector heap(k);
-  std::set<std::string> seen;
-  if (!parallel_reads()) {
-    for (const Candidate& c : candidates) {
-      // Stop on the STORED seq bound, not on a full heap: a crash-stale
-      // entry (index written ahead of a primary put that never committed)
-      // can validate at a lower primary seq than it stored, so a full heap
-      // may still be displaced by later candidates — but never by one whose
-      // stored seq is at or below the heap floor, since a validated
-      // result's seq never exceeds the stored seq that produced it.
-      if (!heap.WouldAdmit(c.seq)) break;  // Candidates are seq-descending
-      if (!seen.insert(c.primary_key).second) continue;
-      QueryResult r;
-      if (FetchAndValidate(Slice(c.primary_key), lo, hi, c.seq, &r)) {
-        heap.Add(std::move(r));
-      }
-    }
-  } else {
-    // Parallel path: validate the seq-descending candidates in chunks, one
-    // MultiGet per chunk. A chunk may validate entries past the point where
-    // the sequential scan stops; those are older than everything the full
-    // heap retains, so Add() rejects them and the final heap is identical.
-    const size_t chunk = BatchChunk(k);
-    size_t idx = 0;
-    // Chunk boundaries stop on the next candidate's STORED seq (see the
-    // sequential path: a full heap alone is not a sound cutoff when
-    // crash-stale entries validate below their stored seq).
-    while (idx < candidates.size() && heap.WouldAdmit(candidates[idx].seq)) {
-      std::vector<std::string> cand;
-      std::vector<SequenceNumber> cand_seqs;
-      while (idx < candidates.size() && cand.size() < chunk) {
-        const Candidate& c = candidates[idx++];
-        if (!seen.insert(c.primary_key).second) continue;
-        cand.push_back(c.primary_key);
-        cand_seqs.push_back(c.seq);
-      }
-      std::vector<QueryResult> fetched;
-      std::vector<char> valid;
-      FetchAndValidateBatch(cand, cand_seqs, lo, hi, &fetched, &valid);
-      for (size_t i = 0; i < cand.size(); i++) {
-        if (valid[i]) heap.Add(std::move(fetched[i]));
-      }
-    }
+  CandidateSink sink(primary_, k, attribute_, lo, hi);
+  for (const Candidate& c : candidates) {
+    // Stop on the STORED seq bound, not on a full heap: a crash-stale entry
+    // (index written ahead of a primary put that never committed) can
+    // validate at a lower primary seq than it stored, so a full heap may
+    // still be displaced by later candidates — but never by one whose
+    // stored seq is at or below the heap floor.
+    if (!sink.WouldAdmit(c.seq)) break;  // Candidates are seq-descending
+    Status s = sink.Offer(Slice(c.primary_key), c.seq);
+    if (!s.ok()) return s;
   }
-  *results = heap.TakeSortedNewestFirst();
-  return Status::OK();
+  return sink.Finish(results);
 }
 
 Status CompositeIndex::ScanPostings(

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "core/candidate_sink.h"
 #include "core/posting_list.h"
 #include "util/perf_context.h"
 
@@ -74,49 +75,6 @@ Status EagerIndex::OnDelete(const Slice& primary_key, const Slice& attr_value,
   return index_db_->Put(WriteOptions(), attr_value, Slice(serialized));
 }
 
-Status EagerIndex::OnPutBatch(const std::vector<IndexOp>& ops) {
-  // Group by attribute value, preserving each group's FIFO order, then do
-  // ONE read-modify-write per distinct value. Sequentially applying a
-  // group's ops to the in-memory list before the single write-back yields
-  // the same final list as per-op RMWs — this is where kDeferredBatch
-  // recovers most of Eager's write amplification.
-  std::map<std::string, std::vector<const IndexOp*>> groups;
-  for (const IndexOp& op : ops) groups[op.attr_value].push_back(&op);
-  for (const auto& [attr_value, group] : groups) {
-    std::vector<PostingEntry> entries;
-    std::string existing;
-    Status s = index_db_->Get(ReadOptions(), Slice(attr_value), &existing);
-    if (s.ok()) {
-      PostingList::Parse(Slice(existing), &entries);
-    } else if (!s.IsNotFound()) {
-      return s;
-    }
-    for (const IndexOp* op : group) {
-      entries.erase(
-          std::remove_if(entries.begin(), entries.end(),
-                         [&](const PostingEntry& e) {
-                           return e.primary_key == op->primary_key;
-                         }),
-          entries.end());
-      if (op->is_delete) continue;
-      auto pos =
-          std::find_if(entries.begin(), entries.end(),
-                       [&](const PostingEntry& e) { return e.seq < op->seq; });
-      entries.insert(pos, PostingEntry(op->primary_key, op->seq, false));
-    }
-    if (entries.empty()) {
-      s = index_db_->Delete(WriteOptions(), Slice(attr_value));
-    } else {
-      std::string serialized;
-      PostingList::Serialize(entries, &serialized);
-      s = index_db_->Put(WriteOptions(), Slice(attr_value),
-                         Slice(serialized));
-    }
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
 Status EagerIndex::BulkLoad(const std::vector<IndexOp>& entries) {
   if (index_db_->LastSequence() != 0) {
     // Non-empty table: an ingested list would shadow every existing
@@ -161,54 +119,19 @@ Status EagerIndex::Lookup(const Slice& value, size_t k,
   // Counted at parse time (entries in the list this query read), so the
   // value is identical at every read_parallelism setting.
   PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
-  TopKCollector heap(k);
-  std::set<std::string> seen;
-  if (!parallel_reads()) {
-    for (const PostingEntry& e : entries) {
-      // Stop on the STORED seq bound, not on a full heap: a crash-stale
-      // entry (written index-first, primary never committed) can validate
-      // at a lower primary seq than it stored, so a full heap may still be
-      // displaced by later entries — but never by one whose stored seq is
-      // already at or below the heap floor, since a validated result's seq
-      // never exceeds the stored seq of the entry that produced it.
-      if (!heap.WouldAdmit(e.seq)) break;  // List is stored-seq-descending
-      if (e.deleted) continue;
-      if (!seen.insert(e.primary_key).second) continue;
-      QueryResult r;
-      if (FetchAndValidate(Slice(e.primary_key), value, value, e.seq, &r)) {
-        heap.Add(std::move(r));
-      }
-    }
-  } else {
-    // Parallel path: validate the seq-descending list in chunks, each chunk
-    // one MultiGet. A chunk may run past the entry where the sequential
-    // scan stops, but those extras are older than everything the full heap
-    // retains, so Add() rejects them and the final heap is identical.
-    const size_t chunk = BatchChunk(k);
-    size_t idx = 0;
-    // Chunk boundaries stop on the next entry's STORED seq (see the
-    // sequential path: a full heap alone is not a sound cutoff when
-    // crash-stale entries validate below their stored seq).
-    while (idx < entries.size() && heap.WouldAdmit(entries[idx].seq)) {
-      std::vector<std::string> cand;
-      std::vector<SequenceNumber> cand_seqs;
-      while (idx < entries.size() && cand.size() < chunk) {
-        const PostingEntry& e = entries[idx++];
-        if (e.deleted) continue;
-        if (!seen.insert(e.primary_key).second) continue;
-        cand.push_back(e.primary_key);
-        cand_seqs.push_back(e.seq);
-      }
-      std::vector<QueryResult> fetched;
-      std::vector<char> valid;
-      FetchAndValidateBatch(cand, cand_seqs, value, value, &fetched, &valid);
-      for (size_t i = 0; i < cand.size(); i++) {
-        if (valid[i]) heap.Add(std::move(fetched[i]));
-      }
-    }
+  CandidateSink sink(primary_, k, attribute_, value, value);
+  for (const PostingEntry& e : entries) {
+    // Stop on the STORED seq bound, not on a full heap: a crash-stale entry
+    // (written index-first, primary never committed) can validate at a
+    // lower primary seq than it stored, so a full heap may still be
+    // displaced by later entries — but never by one whose stored seq is
+    // already at or below the heap floor.
+    if (!sink.WouldAdmit(e.seq)) break;  // List is stored-seq-descending
+    if (e.deleted) continue;
+    s = sink.Offer(Slice(e.primary_key), e.seq);
+    if (!s.ok()) return s;
   }
-  *results = heap.TakeSortedNewestFirst();
-  return Status::OK();
+  return sink.Finish(results);
 }
 
 Status EagerIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
@@ -216,28 +139,7 @@ Status EagerIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
   results->clear();
   // Range scan over the index table's (secondary) keys; merge the K-newest
   // across all matching lists with the min-heap.
-  TopKCollector heap(k);
-  std::set<std::string> seen;
-  // Parallel path: survivors of the pruning below accumulate into chunks,
-  // each resolved with one MultiGet. The stale heap makes WouldAdmit fetch
-  // a superset of the sequential run's candidates; Add()'s exact predicate
-  // then rejects anything the sequential heap would have, so the final
-  // top-K is identical.
-  const bool batched = parallel_reads();
-  const size_t chunk = BatchChunk(k);
-  std::vector<std::string> cand;
-  std::vector<SequenceNumber> cand_seqs;
-  auto flush = [&]() {
-    if (cand.empty()) return;
-    std::vector<QueryResult> fetched;
-    std::vector<char> valid;
-    FetchAndValidateBatch(cand, cand_seqs, lo, hi, &fetched, &valid);
-    for (size_t i = 0; i < cand.size(); i++) {
-      if (valid[i]) heap.Add(std::move(fetched[i]));
-    }
-    cand.clear();
-    cand_seqs.clear();
-  };
+  CandidateSink sink(primary_, k, attribute_, lo, hi);
   std::unique_ptr<Iterator> it(index_db_->NewIterator(ReadOptions()));
   for (it->Seek(lo); it->Valid() && it->key().compare(hi) <= 0; it->Next()) {
     std::vector<PostingEntry> entries;
@@ -245,24 +147,13 @@ Status EagerIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
     PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
     for (const PostingEntry& e : entries) {
       if (e.deleted) continue;
-      if (!heap.WouldAdmit(e.seq)) break;  // List is seq-descending
-      if (!seen.insert(e.primary_key).second) continue;
-      if (batched) {
-        cand.push_back(e.primary_key);
-        cand_seqs.push_back(e.seq);
-        if (cand.size() >= chunk) flush();
-        continue;
-      }
-      QueryResult r;
-      if (FetchAndValidate(Slice(e.primary_key), lo, hi, e.seq, &r)) {
-        heap.Add(std::move(r));
-      }
+      if (!sink.WouldAdmit(e.seq)) break;  // List is seq-descending
+      Status s = sink.Offer(Slice(e.primary_key), e.seq);
+      if (!s.ok()) return s;
     }
   }
-  flush();
   if (!it->status().ok()) return it->status();
-  *results = heap.TakeSortedNewestFirst();
-  return Status::OK();
+  return sink.Finish(results);
 }
 
 Status EagerIndex::EnumeratePostings(const Slice& value,

@@ -29,9 +29,6 @@ class EagerIndex : public StandAloneIndex {
                SequenceNumber seq) override;
   Status OnDelete(const Slice& primary_key, const Slice& attr_value,
                   SequenceNumber seq) override;
-  /// Deferred-batch payoff: ONE read-modify-write per distinct attribute
-  /// value in the batch (in-group FIFO preserved), instead of one per op.
-  Status OnPutBatch(const std::vector<IndexOp>& ops) override;
   /// Into an EMPTY index table, builds the complete per-attribute posting
   /// lists in memory and splices them in as SSTables (no WAL, no RMW). A
   /// non-empty table falls back to the OnPut replay — an ingested list

@@ -120,7 +120,8 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
   // paranoid mode the error must surface instead (first one wins).
   const bool paranoid = primary_->options().paranoid_checks;
   Status block_error;
-  if (!parallel_reads()) {
+  const bool parallel_reads = primary_->options().read_parallelism > 1;
+  if (!parallel_reads) {
     scan_status = primary_->EmbeddedScan(
         read_options, attribute_, lo, hi,
         [&](Table* table, size_t block, int level, uint64_t file) {

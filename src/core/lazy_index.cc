@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 
+#include "core/candidate_sink.h"
 #include "core/posting_list.h"
 #include "util/perf_context.h"
 
@@ -110,15 +111,9 @@ Status LazyIndex::Lookup(const Slice& value, size_t k,
   // Algorithm 3: walk the fragments newest-level-first; a fragment's
   // entries are all newer than every fragment below it, so the scan stops
   // at the first level boundary where the heap is full.
-  TopKCollector heap(k);
+  CandidateSink sink(primary_, k, attribute_, value, value);
   std::set<std::string> seen;  // Shadowing: newer fragments win per key
-  // A crash-stale entry (index fragment written ahead of a primary put that
-  // never committed) validates at a LOWER primary seq than it stored. Once
-  // such a result is admitted, "heap full" no longer proves that older
-  // fragments can't displace anything, so the level-boundary shortcut is
-  // disabled for the rest of the scan.
-  bool stale_admitted = false;
-  const bool batched = parallel_reads();
+  Status validate_status;
   Status s = index_db_->GetFragments(
       ReadOptions(), value,
       [&](int /*rank*/, SequenceNumber /*fseq*/, bool frag_deleted,
@@ -132,61 +127,25 @@ Status LazyIndex::Lookup(const Slice& value, size_t k,
           // the value is identical at every read_parallelism setting.
           PerfCounterAdd(&PerfContext::posting_entries_scanned,
                          entries.size());
-          if (!batched) {
-            for (const PostingEntry& e : entries) {
-              if (!seen.insert(e.primary_key).second) continue;
-              if (e.deleted) continue;  // Marker shadows older occurrences
-              if (!heap.WouldAdmit(e.seq)) continue;
-              QueryResult r;
-              if (FetchAndValidate(Slice(e.primary_key), value, value, e.seq,
-                                   &r)) {
-                if (r.seq != e.seq) stale_admitted = true;
-                heap.Add(std::move(r));
-              }
-            }
-          } else {
-            // Parallel path: identical pruning in identical order, but the
-            // surviving candidates resolve through chunked MultiGets.
-            // WouldAdmit sees the heap as of the last chunk boundary —
-            // staler than the sequential interleaving, so it fetches a
-            // bounded superset (at most one chunk of extras); Add() applies
-            // the exact admission predicate afterwards, in the same entry
-            // order, so the final heap is identical.
-            const size_t chunk = BatchChunk(k);
-            std::vector<std::string> cand;
-            std::vector<SequenceNumber> cand_seqs;  // Stored seq per cand
-            auto flush = [&]() {
-              std::vector<QueryResult> fetched;
-              std::vector<char> valid;
-              FetchAndValidateBatch(cand, cand_seqs, value, value, &fetched,
-                                    &valid);
-              for (size_t i = 0; i < cand.size(); i++) {
-                if (valid[i]) {
-                  if (fetched[i].seq != cand_seqs[i]) stale_admitted = true;
-                  heap.Add(std::move(fetched[i]));
-                }
-              }
-              cand.clear();
-              cand_seqs.clear();
-            };
-            for (const PostingEntry& e : entries) {
-              if (!seen.insert(e.primary_key).second) continue;
-              if (e.deleted) continue;
-              if (!heap.WouldAdmit(e.seq)) continue;
-              cand.push_back(e.primary_key);
-              cand_seqs.push_back(e.seq);
-              if (cand.size() >= chunk) flush();
-            }
-            flush();
+          for (const PostingEntry& e : entries) {
+            if (!seen.insert(e.primary_key).second) continue;
+            if (e.deleted) continue;  // Marker shadows older occurrences
+            if (!sink.WouldAdmit(e.seq)) continue;
+            validate_status = sink.Offer(Slice(e.primary_key), e.seq);
+            if (!validate_status.ok()) return false;
           }
+          validate_status = sink.Flush();
+          if (!validate_status.ok()) return false;
         }
         // Stop descending once top-K is complete — unless a crash-stale
-        // admission broke the levels-are-older invariant (see above).
-        return !heap.Full() || stale_admitted;
+        // admission (a result validated below its stored seq) broke the
+        // levels-are-older invariant, after which a full heap no longer
+        // proves that older fragments can't displace anything.
+        return !sink.Full() || sink.stale_admitted();
       });
   if (!s.ok()) return s;
-  *results = heap.TakeSortedNewestFirst();
-  return Status::OK();
+  if (!validate_status.ok()) return validate_status;
+  return sink.Finish(results);
 }
 
 Status LazyIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
@@ -197,16 +156,12 @@ Status LazyIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
   // a key already seen above). Each level contributes the fragments of
   // every secondary key in [lo, hi]; per-key shadowing tracks which
   // (secondary key, primary key) pairs newer levels already decided.
-  TopKCollector heap(k);
-  // Disables the level-boundary shortcut once a crash-stale entry (stored
-  // seq above the validated primary seq) has been admitted; see Lookup.
-  bool stale_admitted = false;
+  CandidateSink sink(primary_, k, attribute_, lo, hi);
   std::set<std::pair<std::string, std::string>> seen;  // (attr val, key)
   // A record updated between two secondary keys both inside [lo, hi] has
   // live-looking entries under each; only one result may be emitted. The
   // validity check resolves to the same current record either way, so the
-  // first checked occurrence decides.
-  std::set<std::string> checked;
+  // first offered occurrence decides (the sink validates a key once).
   DBImpl::LevelIterators levels;
   Status s = index_db_->NewLevelIterators(ReadOptions(), &levels);
   if (!s.ok()) return s;
@@ -214,27 +169,7 @@ Status LazyIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
   std::string seek_key;
   AppendInternalKey(&seek_key, ParsedInternalKey(lo, kMaxSequenceNumber,
                                                  kValueTypeForSeek));
-  const bool batched = parallel_reads();
-  const size_t chunk = BatchChunk(k);
   for (Iterator* it : levels.iters) {
-    // Parallel path: candidates surviving this bucket's pruning, validated
-    // through chunked MultiGets (see Lookup for why the final heap is
-    // identical to the sequential interleaving).
-    std::vector<std::string> cand;
-    std::vector<SequenceNumber> cand_seqs;  // Stored seq per candidate
-    auto flush = [&]() {
-      std::vector<QueryResult> fetched;
-      std::vector<char> valid;
-      FetchAndValidateBatch(cand, cand_seqs, lo, hi, &fetched, &valid);
-      for (size_t i = 0; i < cand.size(); i++) {
-        if (valid[i]) {
-          if (fetched[i].seq != cand_seqs[i]) stale_admitted = true;
-          heap.Add(std::move(fetched[i]));
-        }
-      }
-      cand.clear();
-      cand_seqs.clear();
-    };
     // Within one recency bucket a secondary key may still have several
     // versions (unflushed memtable history); internal ordering puts the
     // newest first, and only it reflects the bucket's fragment.
@@ -266,29 +201,19 @@ Status LazyIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
           continue;
         }
         if (e.deleted) continue;
-        if (!heap.WouldAdmit(e.seq)) continue;
-        if (!checked.insert(e.primary_key).second) continue;
-        if (batched) {
-          cand.push_back(e.primary_key);
-          cand_seqs.push_back(e.seq);
-          if (cand.size() >= chunk) flush();
-          continue;
-        }
-        QueryResult r;
-        if (FetchAndValidate(Slice(e.primary_key), lo, hi, e.seq, &r)) {
-          if (r.seq != e.seq) stale_admitted = true;
-          heap.Add(std::move(r));
-        }
+        if (!sink.WouldAdmit(e.seq)) continue;
+        s = sink.Offer(Slice(e.primary_key), e.seq);
+        if (!s.ok()) return s;
       }
     }
     if (!it->status().ok()) return it->status();
-    if (!cand.empty()) flush();
+    s = sink.Flush();
+    if (!s.ok()) return s;
     // Level boundary: lower levels are older — unless a crash-stale
     // admission broke that invariant (see Lookup).
-    if (heap.Full() && !stale_admitted) break;
+    if (sink.Full() && !sink.stale_admitted()) break;
   }
-  *results = heap.TakeSortedNewestFirst();
-  return Status::OK();
+  return sink.Finish(results);
 }
 
 Status LazyIndex::EnumeratePostings(const Slice& value,

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "core/candidate_sink.h"
 #include "core/composite_index.h"
 #include "core/document.h"
 #include "core/eager_index.h"
@@ -31,21 +32,6 @@ HistogramType LookupHistogram(IndexType type) {
 
 }  // namespace
 
-/// Applies buffered index maintenance whenever the primary table flushes a
-/// memtable — the natural batch boundary of the deferred mode (Luo & Carey's
-/// "maintain on flush"). Runs on the flushing thread with the primary's
-/// mutex released; it writes only to the separate index tables.
-class DeferredDrainListener : public EventListener {
- public:
-  explicit DeferredDrainListener(SecondaryDB* db) : db_(db) {}
-  void OnFlushEnd(const FlushJobInfo& /*info*/) override {
-    db_->DrainDeferred();
-  }
-
- private:
-  SecondaryDB* db_;
-};
-
 SecondaryDB::SecondaryDB(const SecondaryDBOptions& options)
     : options_(options),
       primary_stats_(new Statistics),
@@ -54,25 +40,10 @@ SecondaryDB::SecondaryDB(const SecondaryDBOptions& options)
       secondary_filter_(
           NewBloomFilterPolicy(options.embedded_bloom_bits_per_key)) {}
 
-SecondaryDB::~SecondaryDB() {
-  // Apply any still-buffered index maintenance before the tables close, so
-  // a clean shutdown never loses acknowledged index entries.
-  DrainDeferred();
-}
-
 Status SecondaryDB::Open(const SecondaryDBOptions& options,
                          const std::string& path,
                          std::unique_ptr<SecondaryDB>* dbptr) {
   dbptr->reset();
-  if (options.sync_writes &&
-      options.index_maintenance != IndexMaintenance::kSync) {
-    // Crash-consistency depends on synchronous index-FIRST writes, which
-    // deferral contradicts outright — and which can durably store sequence
-    // numbers the primary never committed, the exact postings the
-    // timestamp fast path must never trust.
-    return Status::InvalidArgument(
-        "sync_writes requires IndexMaintenance::kSync");
-  }
   std::unique_ptr<SecondaryDB> db(new SecondaryDB(options));
 
   Env* env = options.base.env != nullptr ? options.base.env : Env::Posix();
@@ -101,11 +72,6 @@ Status SecondaryDB::Open(const SecondaryDBOptions& options,
     primary_options.secondary_attributes = options.indexed_attributes;
     primary_options.attribute_extractor = JsonAttributeExtractor::Instance();
     primary_options.secondary_filter_policy = db->secondary_filter_.get();
-  }
-  if (options.index_maintenance == IndexMaintenance::kDeferredBatch &&
-      db->standalone()) {
-    primary_options.listeners.push_back(
-        std::make_shared<DeferredDrainListener>(db.get()));
   }
   DBImpl* primary = nullptr;
   s = DBImpl::Open(primary_options, path + "/primary", &primary);
@@ -148,9 +114,6 @@ Status SecondaryDB::OpenIndex(const std::string& attr,
       s = CompositeIndex::Open(attr, primary_.get(), index_base_, index_path,
                                index);
       break;
-  }
-  if (s.ok() && *index != nullptr) {
-    (*index)->set_maintenance(options_.index_maintenance);
   }
   return s;
 }
@@ -213,13 +176,6 @@ Status SecondaryDB::Put(const Slice& key, const Slice& json_value,
   if (!s.ok()) return s;
   const SequenceNumber seq = primary_->LastSequence();
 
-  if (options_.index_maintenance == IndexMaintenance::kDeferredBatch) {
-    for (auto& [index, attr_value] : attr_values) {
-      s = BufferDeferred(index, key, Slice(attr_value), seq, false);
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
-  }
   for (auto& [index, attr_value] : attr_values) {
     s = index->OnPut(key, Slice(attr_value), seq);
     if (!s.ok()) return s;
@@ -261,15 +217,6 @@ Status SecondaryDB::Delete(const Slice& key, const WriteControl& ctl) {
   if (!s.ok()) return s;
   const SequenceNumber seq = primary_->LastSequence();
 
-  if (options_.index_maintenance == IndexMaintenance::kDeferredBatch) {
-    // The victim's attribute values were read from the primary above,
-    // BEFORE the delete; FIFO replay preserves the put/delete order.
-    for (auto& [index, attr_value] : attr_values) {
-      s = BufferDeferred(index, key, Slice(attr_value), seq, true);
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
-  }
   for (auto& [index, attr_value] : attr_values) {
     s = index->OnDelete(key, Slice(attr_value), seq);
     if (!s.ok()) return s;
@@ -283,11 +230,6 @@ Status SecondaryDB::Lookup(const std::string& attribute, const Slice& value,
   if (idx == nullptr) {
     return Status::InvalidArgument("attribute is not indexed: ", attribute);
   }
-  // Deferred maintenance settles before any query reads the index, keeping
-  // results byte-identical to kSync. (Drained before the timer: the apply
-  // is write work and must not pollute the lookup latency distributions.)
-  Status ds = DrainDeferred();
-  if (!ds.ok()) return ds;
   // Both lookup forms land in the variant's histogram: the paper's LOOKUP /
   // RANGELOOKUP latency figures are per-variant distributions.
   Env* env = index_base_.env != nullptr ? index_base_.env : Env::Posix();
@@ -306,8 +248,6 @@ Status SecondaryDB::RangeLookup(const std::string& attribute, const Slice& lo,
   if (idx == nullptr) {
     return Status::InvalidArgument("attribute is not indexed: ", attribute);
   }
-  Status ds = DrainDeferred();
-  if (!ds.ok()) return ds;
   Env* env = index_base_.env != nullptr ? index_base_.env : Env::Posix();
   const uint64_t start = env->NowMicros();
   ScopedPerfTimer timer(&PerfContext::lookup_micros);
@@ -335,8 +275,6 @@ Status SecondaryDB::LookupAnd(const std::string& attr1, const Slice& value1,
     return Status::InvalidArgument("attribute is not indexed: ", attr2);
   }
   if (in_values2.empty()) return Status::OK();  // IN {} matches nothing
-  Status ds = DrainDeferred();
-  if (!ds.ok()) return ds;
   Env* env = index_base_.env != nullptr ? index_base_.env : Env::Posix();
   const uint64_t start = env->NowMicros();
   ScopedPerfTimer timer(&PerfContext::lookup_micros);
@@ -454,44 +392,14 @@ Status SecondaryDB::LookupAnd(const std::string& attr1, const Slice& value1,
               if (a.seq != b.seq) return a.seq > b.seq;
               return a.primary_key < b.primary_key;
             });
-  TopKCollector heap(k);
-  const size_t chunk_size = [&] {
-    const size_t p =
-        static_cast<size_t>(primary_->options().read_parallelism);
-    return k != 0 ? std::max(k, p) : std::max<size_t>(64, p);
-  }();
-  size_t next = 0;
-  while (next < survivors.size() && heap.WouldAdmit(survivors[next].seq)) {
-    const size_t end = std::min(survivors.size(), next + chunk_size);
-    std::vector<Slice> keys;
-    keys.reserve(end - next);
-    for (size_t i = next; i < end; i++) {
-      keys.push_back(Slice(survivors[i].primary_key));
-    }
-    std::vector<std::string> values;
-    std::vector<DBImpl::RecordLocation> locs;
-    std::vector<Status> statuses;
-    Status ms = primary_->MultiGetWithMeta(ReadOptions(), keys, &values,
-                                           &locs, &statuses);
-    if (!ms.ok()) return ms;
-    // A chunk may fetch entries past the sequential stopping point (the
-    // heap is only consulted at chunk boundaries); Add() applies the exact
-    // admission predicate, so the final heap is identical at every
-    // read_parallelism setting.
-    for (size_t i = next; i < end; i++) {
-      const size_t j = i - next;
-      if (statuses[j].IsNotFound()) continue;  // Stale posting: key deleted
-      if (!statuses[j].ok()) return statuses[j];
-      if (!matches(Slice(values[j]))) continue;
-      QueryResult r;
-      r.primary_key = survivors[i].primary_key;
-      r.seq = locs[j].seq;
-      r.value = std::move(values[j]);
-      heap.Add(std::move(r));
-    }
-    next = end;
+  CandidateSink sink(primary_.get(), k, matches);
+  for (const PostingCandidate& c : survivors) {
+    if (!sink.WouldAdmit(c.seq)) break;
+    s = sink.Offer(Slice(c.primary_key), c.seq);
+    if (!s.ok()) return s;
   }
-  *results = heap.TakeSortedNewestFirst();
+  s = sink.Finish(results);
+  if (!s.ok()) return s;
   primary_statistics()->RecordHistogram(kHistLookupAndMicros,
                                         env->NowMicros() - start);
   return Status::OK();
@@ -504,38 +412,32 @@ Status SecondaryDB::CollectJoinGroups(const std::string& attribute,
   if (idx == nullptr) {
     return Status::InvalidArgument("attribute is not indexed: ", attribute);
   }
-  Status ds = DrainDeferred();
-  if (!ds.ok()) return ds;
   const JsonAttributeExtractor* extractor =
       JsonAttributeExtractor::Instance();
   std::map<std::string, std::vector<QueryResult>> by_value;
   uint64_t total_rows = 0;
   if (standalone()) {
     // Stream the outer side out of the index: the posting superset yields
-    // candidate primary keys, batched MultiGet fetches their CURRENT
-    // records, and the grouping value is extracted from the fetched record
-    // — so stale/deleted postings drop out here, not later.
+    // candidate primary keys, the candidate sink's resolver fetches their
+    // CURRENT records chunk by chunk, and the grouping value is extracted
+    // from the fetched record — so stale/deleted postings drop out here,
+    // not later.
     std::vector<std::string> pks;
     Status s = idx->EnumerateIndexedKeys(&pks);
     if (!s.ok()) return s;
-    const size_t p =
-        static_cast<size_t>(primary_->options().read_parallelism);
-    const size_t chunk_size = std::max<size_t>(64, p);
+    const size_t chunk_size = std::max<size_t>(
+        64, static_cast<size_t>(primary_->options().read_parallelism));
     for (size_t next = 0; next < pks.size(); next += chunk_size) {
       const size_t end = std::min(pks.size(), next + chunk_size);
-      std::vector<Slice> keys;
-      keys.reserve(end - next);
-      for (size_t i = next; i < end; i++) keys.push_back(Slice(pks[i]));
+      std::vector<Slice> keys(pks.begin() + next, pks.begin() + end);
       std::vector<std::string> values;
       std::vector<DBImpl::RecordLocation> locs;
-      std::vector<Status> statuses;
-      Status ms = primary_->MultiGetWithMeta(ReadOptions(), keys, &values,
-                                             &locs, &statuses);
-      if (!ms.ok()) return ms;
+      std::vector<char> found;
+      s = CandidateSink::Fetch(primary_.get(), keys, &values, &locs, &found);
+      if (!s.ok()) return s;
       for (size_t i = next; i < end; i++) {
         const size_t j = i - next;
-        if (statuses[j].IsNotFound()) continue;  // Stale posting
-        if (!statuses[j].ok()) return statuses[j];
+        if (!found[j]) continue;  // Stale posting
         std::string av;
         if (!extractor->Extract(Slice(values[j]), attribute, &av)) {
           continue;  // Record no longer carries the attribute
@@ -593,8 +495,8 @@ Status JoinOnAttribute(SecondaryDB* outer, SecondaryDB* inner,
   if (!s.ok()) return s;
   std::vector<JoinRow> pairs;
   for (const SecondaryDB::JoinGroup& g : groups) {
-    // Probe the inner side through its own index; Lookup validates and
-    // resolves candidates with batched MultiGet internally. k == 0: every
+    // Probe the inner side through its own index; Lookup validates its
+    // candidates through the candidate sink. k == 0: every
     // inner match participates (the pair cut happens after the global
     // sort, so per-value truncation would change results).
     std::vector<QueryResult> inner_rows;
@@ -624,9 +526,7 @@ Status JoinOnAttribute(SecondaryDB* outer, SecondaryDB* inner,
 }
 
 Status SecondaryDB::CompactAll() {
-  Status s = DrainDeferred();
-  if (!s.ok()) return s;
-  s = primary_->CompactAll();
+  Status s = primary_->CompactAll();
   for (auto& index : indexes_) {
     if (s.ok()) s = index->CompactAll();
   }
@@ -683,8 +583,6 @@ Status SecondaryDB::Repair(const SecondaryDBOptions& options,
 
 Status SecondaryDB::VerifyIndexConsistency() {
   if (!standalone()) return Status::OK();
-  Status ds = DrainDeferred();
-  if (!ds.ok()) return ds;
   const JsonAttributeExtractor* extractor = JsonAttributeExtractor::Instance();
   std::string attr_value;
   std::vector<QueryResult> results;
@@ -722,11 +620,6 @@ Status SecondaryDB::VerifyIndexConsistency() {
 
 Status SecondaryDB::RebuildIndex() {
   if (!standalone()) return Status::OK();
-
-  // Settle (and thereby empty) the deferred buffer first: its ops hold
-  // pointers into indexes_, which is about to be torn down.
-  Status ds = DrainDeferred();
-  if (!ds.ok()) return ds;
 
   // Tear down: close the index tables (the objects own their DB handles),
   // then wipe them from disk.
@@ -792,65 +685,8 @@ Status SecondaryDB::RebuildIndex() {
   return s;
 }
 
-Status SecondaryDB::BufferDeferred(SecondaryIndex* index,
-                                   const Slice& primary_key,
-                                   const Slice& attr_value,
-                                   SequenceNumber seq, bool is_delete) {
-  size_t buffered;
-  {
-    std::lock_guard<std::mutex> lock(deferred_mu_);
-    DeferredOp d;
-    d.index = index;
-    d.op.primary_key = primary_key.ToString();
-    d.op.attr_value = attr_value.ToString();
-    d.op.seq = seq;
-    d.op.is_delete = is_delete;
-    deferred_.push_back(std::move(d));
-    buffered = deferred_.size();
-  }
-  primary_statistics()->Record(kIndexDeferredOps);
-  if (buffered >= options_.deferred_batch_max_ops) {
-    return DrainDeferred();
-  }
-  return Status::OK();
-}
-
-Status SecondaryDB::DrainDeferred() {
-  if (options_.index_maintenance != IndexMaintenance::kDeferredBatch) {
-    return Status::OK();
-  }
-  // Apply lock FIRST, swap second: a racing drain cannot swap out (let
-  // alone apply) ops buffered after ours until we finished applying ours,
-  // so batches apply in buffering order (see the header's lock-order note).
-  std::lock_guard<std::mutex> apply_lock(deferred_apply_mu_);
-  std::vector<DeferredOp> batch;
-  {
-    std::lock_guard<std::mutex> lock(deferred_mu_);
-    batch.swap(deferred_);
-  }
-  if (batch.empty()) return Status::OK();
-  Status s;
-  std::vector<IndexOp> ops;
-  for (auto& index : indexes_) {
-    ops.clear();
-    for (DeferredOp& d : batch) {
-      if (d.index == index.get()) ops.push_back(std::move(d.op));
-    }
-    if (ops.empty()) continue;
-    Status is = index->OnPutBatch(ops);
-    if (s.ok()) s = is;
-  }
-  primary_statistics()->Record(kIndexDeferredApplies);
-  return s;
-}
-
 Status SecondaryDB::IngestWithIndexes(const IngestFeed& feed,
                                       IngestStats* stats) {
-  // Earlier buffered maintenance must not replay on top of (and thereby
-  // reorder around) the bulk-loaded postings.
-  Status s = DrainDeferred();
-  if (!s.ok()) return s;
-
   if (!standalone()) {
     // NoIndex scans the data; Embedded's blooms and zone maps are built by
     // the table builder inside the ingest itself. Nothing extra to do.
@@ -881,7 +717,7 @@ Status SecondaryDB::IngestWithIndexes(const IngestFeed& feed,
     return true;
   };
   IngestStats local;
-  s = primary_->IngestExternalFiles(wrapped, &local);
+  Status s = primary_->IngestExternalFiles(wrapped, &local);
   if (!s.ok()) return s;
 
   // A BulkLoad failure here leaves the primary loaded but an index behind —

@@ -17,7 +17,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,22 +44,6 @@ struct SecondaryDBOptions {
   /// Bloom bits/key for the Embedded index's per-block secondary filters
   /// (the paper uses 20 by default and sweeps 5..30 in Appendix C.1).
   int embedded_bloom_bits_per_key = 20;
-
-  /// When the stand-alone indexes learn about writes (see
-  /// core/secondary_index.h). kSync is the paper's behavior and the
-  /// default. kDeferredBatch buffers index maintenance and applies it in
-  /// FIFO batches (on primary flush, on every query, at the buffer cap);
-  /// kTimestampValidated keeps writes synchronous but lets point-LOOKUP
-  /// validation trust stored sequence numbers. Both alternatives return
-  /// byte-identical query results to kSync; both are rejected at Open when
-  /// combined with sync_writes (whose index-first crash ordering needs
-  /// synchronous maintenance and can store uncommitted seqs). Ignored by
-  /// Embedded / NoIndex.
-  IndexMaintenance index_maintenance = IndexMaintenance::kSync;
-
-  /// kDeferredBatch: buffered ops are applied once the buffer reaches this
-  /// many entries (besides the flush/query/close triggers).
-  size_t deferred_batch_max_ops = 1024;
 
   /// Conjunctive planner overrides (LookupAnd): force the physical strategy
   /// and/or the drive side instead of the cost-based choice. Every
@@ -90,7 +73,6 @@ class SecondaryDB {
 
   SecondaryDB(const SecondaryDB&) = delete;
   SecondaryDB& operator=(const SecondaryDB&) = delete;
-  ~SecondaryDB();
 
   /// Per-call write controls (the subset of WriteOptions the serving layer
   /// needs). Defaults preserve the classic blocking behavior.
@@ -157,7 +139,7 @@ class SecondaryDB {
   /// current attribute value (groups ascending by value; rows within a
   /// group newest first). Stand-alone variants stream candidates out of the
   /// index (SecondaryIndex::EnumerateIndexedKeys) and validate them with
-  /// batched MultiGet; Embedded/NoIndex scan the primary table. This is the
+  /// CandidateSink::Fetch; Embedded/NoIndex scan the primary table. This is the
   /// outer side of JoinOnAttribute and of ShardedDB::Join.
   Status CollectJoinGroups(const std::string& attribute,
                            std::vector<JoinGroup>* groups);
@@ -253,8 +235,6 @@ class SecondaryDB {
   uint64_t TotalTicker(Ticker t);
 
  private:
-  friend class DeferredDrainListener;  // Drains on primary-table flush
-
   SecondaryDB(const SecondaryDBOptions& options);
 
   bool standalone() const {
@@ -268,18 +248,6 @@ class SecondaryDB {
   Status OpenIndex(const std::string& attr,
                    std::unique_ptr<SecondaryIndex>* index);
 
-  /// kDeferredBatch: append one op to the buffer; drains inline when the
-  /// buffer hits deferred_batch_max_ops.
-  Status BufferDeferred(SecondaryIndex* index, const Slice& primary_key,
-                        const Slice& attr_value, SequenceNumber seq,
-                        bool is_delete);
-
-  /// Apply every buffered op (FIFO per index) through OnPutBatch. Called
-  /// before queries / verification / ingest / close and from the primary
-  /// table's flush listener; no-op when the buffer is empty or the mode is
-  /// not kDeferredBatch. Safe from any thread.
-  Status DrainDeferred();
-
   SecondaryDBOptions options_;
   std::string path_;
   Options index_base_;  // Effective base options the index tables open with
@@ -289,20 +257,6 @@ class SecondaryDB {
   std::unique_ptr<DBImpl> primary_;
   // Attribute -> index, in declaration order.
   std::vector<std::unique_ptr<SecondaryIndex>> indexes_;
-
-  // ---- kDeferredBatch state ----
-  struct DeferredOp {
-    SecondaryIndex* index;
-    IndexOp op;
-  };
-  // Lock order: deferred_apply_mu_ BEFORE deferred_mu_. A drain takes the
-  // apply lock first and THEN swaps the buffer out, so two racing drains
-  // apply their batches in the order the ops were buffered (the second
-  // drain cannot swap — let alone apply — newer ops until the first
-  // finished applying older ones).
-  std::mutex deferred_apply_mu_;
-  std::mutex deferred_mu_;
-  std::vector<DeferredOp> deferred_;  // guarded by deferred_mu_
 };
 
 /// One joined pair: a record from each store sharing the join attribute's
@@ -316,8 +270,8 @@ struct JoinRow {
 /// A, K) — every pair (l, r) with l in outer, r in inner, and val_l(A) ==
 /// val_r(A), both sides validated against their CURRENT primary records.
 /// The outer side streams through CollectJoinGroups; each distinct value
-/// probes the inner side's index via Lookup (whose candidate resolution is
-/// batched MultiGet). Pairs are ordered (left.seq desc, left.key asc,
+/// probes the inner side's index via Lookup (whose candidates resolve
+/// through the candidate sink). Pairs are ordered (left.seq desc, left.key asc,
 /// right.seq desc, right.key asc) and truncated to K (K == 0: unlimited).
 /// outer == inner performs a self-join. `attribute` must be indexed on
 /// both stores.

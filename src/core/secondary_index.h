@@ -39,35 +39,11 @@ enum class IndexType {
 
 const char* IndexTypeName(IndexType type);
 
-/// When the stand-alone indexes learn about primary-table writes (the
-/// maintenance axis of Luo & Carey's LSM survey; the paper itself fixes
-/// kSync). Embedded/NoIndex have no separate structure and ignore this.
-enum class IndexMaintenance {
-  /// Index entries are written inside every Put/Delete (paper behavior).
-  kSync,
-  /// Index ops are buffered and applied in FIFO batches — on primary-table
-  /// flush, on every query, or when the buffer hits its cap. Batching lets
-  /// Eager collapse its per-put read-modify-write to one RMW per distinct
-  /// attribute value. Queries drain first, so results are byte-identical
-  /// to kSync.
-  kDeferredBatch,
-  /// Writes stay synchronous, but point-LOOKUP validation trusts the
-  /// posting's stored sequence number: one metadata-only IsNewestVersion
-  /// probe replaces the full fetch+extract+compare for stale entries.
-  /// Sound because the buffered write path stores the primary's real
-  /// sequence numbers (rejected at Open when combined with sync_writes,
-  /// whose index-first ordering can store seqs the primary never
-  /// committed). Results stay byte-identical to kSync.
-  kTimestampValidated,
-};
-
-/// One buffered index-maintenance operation (kDeferredBatch) or one bulk
-/// record (BulkLoad).
+/// One bulk-load record (BulkLoad).
 struct IndexOp {
   std::string primary_key;
   std::string attr_value;
   SequenceNumber seq = 0;
-  bool is_delete = false;
 };
 
 /// One live posting enumerated from a stand-alone index: deduplicated per
@@ -82,9 +58,9 @@ struct PostingCandidate {
 };
 
 /// Extra exact predicate over a full record value, applied by the scan
-/// variants' conjunctive path after the driven attribute matched. Must be a
-/// pure function of the record bytes (it runs on pool workers under
-/// read_parallelism).
+/// variants' conjunctive path after the driven attribute matched (and by
+/// CandidateSink to LookupAnd's posting survivors). Must be a pure function
+/// of the record bytes (it runs on pool workers under read_parallelism).
 using RecordFilter = std::function<bool(const Slice& record)>;
 
 class SecondaryIndex {
@@ -111,21 +87,11 @@ class SecondaryIndex {
   virtual Status OnDelete(const Slice& primary_key, const Slice& attr_value,
                           SequenceNumber seq) = 0;
 
-  /// Apply a FIFO batch of buffered maintenance ops (kDeferredBatch). The
-  /// default replays them through OnPut/OnDelete in order; Eager overrides
-  /// to coalesce the read-modify-writes per attribute value. Must leave the
-  /// index byte-identical to the sequential replay.
-  virtual Status OnPutBatch(const std::vector<IndexOp>& ops);
-
   /// Load `entries` (all puts, strictly increasing UNIQUE primary keys,
   /// ascending seqs — the shape IngestWithIndexes produces) into the index.
   /// The default replays OnPut; stand-alone variants override to build
   /// their index table via SSTable ingestion when that is sound.
   virtual Status BulkLoad(const std::vector<IndexOp>& entries);
-
-  /// Switch the validation strategy (set once, before any queries).
-  void set_maintenance(IndexMaintenance m) { maintenance_ = m; }
-  IndexMaintenance maintenance() const { return maintenance_; }
 
   /// LOOKUP(A, a, K): the K most recent valid records with val(A) == a,
   /// newest first.
@@ -194,53 +160,8 @@ class SecondaryIndex {
   virtual uint64_t IndexSizeBytes() { return 0; }
 
  protected:
-  /// Shared validity check for stand-alone indexes: GET the record from the
-  /// primary table and confirm its attribute still matches (stale entries
-  /// from updates fail this, per Section 4.1.1). On success fills *out.
-  ///
-  /// `stored_seq` is the sequence number the index entry carries. Under
-  /// kTimestampValidated it enables the fast path for POINT probes
-  /// (lo == hi): a metadata-only IsNewestVersion(key, stored_seq) check
-  /// rejects stale entries without fetching the record, and an accepted
-  /// entry skips the extract+compare (the newest version at `stored_seq`
-  /// is by construction the record that produced the posting). Range
-  /// probes (lo < hi) always take the full path: the callers' seen/checked
-  /// sets are populated BEFORE validation, so rejecting an old posting of
-  /// a record whose attribute moved elsewhere within [lo, hi] would drop
-  /// the record — with lo == hi a newer same-value posting always precedes
-  /// the stale one, making the rejection safe.
-  bool FetchAndValidate(const Slice& primary_key, const Slice& lo,
-                        const Slice& hi, SequenceNumber stored_seq,
-                        QueryResult* out);
-
-  /// Batched FetchAndValidate over one posting-list level's candidates,
-  /// resolved through DBImpl::MultiGetWithMeta (parallel when
-  /// Options::read_parallelism > 1). (*valid)[i] is nonzero iff keys[i]
-  /// validated, in which case (*out)[i] is filled. `stored_seqs` parallels
-  /// `keys`; when the timestamp fast path applies (see above) the batch
-  /// degrades to the sequential per-key probes.
-  void FetchAndValidateBatch(const std::vector<std::string>& keys,
-                             const std::vector<SequenceNumber>& stored_seqs,
-                             const Slice& lo, const Slice& hi,
-                             std::vector<QueryResult>* out,
-                             std::vector<char>* valid);
-
-  /// True when the primary table opts queries into batched, fanned-out
-  /// candidate resolution.
-  bool parallel_reads() const {
-    return primary_->options().read_parallelism > 1;
-  }
-
-  /// Chunk size for batched candidate validation: enough keys to fill the
-  /// heap (and the pool) per round without unbounded overfetch.
-  size_t BatchChunk(size_t k) const {
-    size_t p = static_cast<size_t>(primary_->options().read_parallelism);
-    return k != 0 ? std::max(k, p) : std::max<size_t>(64, p);
-  }
-
   std::string attribute_;
   DBImpl* primary_;
-  IndexMaintenance maintenance_ = IndexMaintenance::kSync;
 };
 
 }  // namespace leveldbpp

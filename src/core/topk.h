@@ -8,7 +8,6 @@
 #define LEVELDBPP_CORE_TOPK_H_
 
 #include <algorithm>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -32,7 +31,7 @@ class TopKCollector {
   /// this to skip expensive validity checks for hopeless candidates.
   bool WouldAdmit(SequenceNumber seq) const {
     if (k_ == 0 || heap_.size() < k_) return true;
-    return seq > heap_.top().seq;
+    return seq > heap_.front().seq;
   }
 
   /// True iff K matches have been collected (never true for k == 0).
@@ -44,20 +43,24 @@ class TopKCollector {
   /// Returns false if the candidate was older than everything retained.
   bool Add(QueryResult result) {
     if (k_ != 0 && heap_.size() >= k_) {
-      if (result.seq <= heap_.top().seq) return false;
-      heap_.pop();
+      if (result.seq <= heap_.front().seq) return false;
+      std::pop_heap(heap_.begin(), heap_.end(), OlderFirst());
+      heap_.pop_back();
     }
-    heap_.push(std::move(result));
+    heap_.push_back(std::move(result));
+    std::push_heap(heap_.begin(), heap_.end(), OlderFirst());
     return true;
   }
 
-  /// Extract results ordered newest-first. Destroys the collector's state.
+  /// Extract results ordered newest-first, moving each one out (records
+  /// included). Destroys the collector's state.
   std::vector<QueryResult> TakeSortedNewestFirst() {
     std::vector<QueryResult> out;
     out.reserve(heap_.size());
     while (!heap_.empty()) {
-      out.push_back(heap_.top());
-      heap_.pop();
+      std::pop_heap(heap_.begin(), heap_.end(), OlderFirst());
+      out.push_back(std::move(heap_.back()));
+      heap_.pop_back();
     }
     std::reverse(out.begin(), out.end());
     return out;
@@ -71,8 +74,7 @@ class TopKCollector {
   };
 
   size_t k_;
-  std::priority_queue<QueryResult, std::vector<QueryResult>, OlderFirst>
-      heap_;
+  std::vector<QueryResult> heap_;  // Binary heap ordered by OlderFirst
 };
 
 }  // namespace leveldbpp

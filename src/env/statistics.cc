@@ -46,10 +46,6 @@ const char* TickerName(Ticker t) {
     case kIngestFiles: return "ingest.files";
     case kIngestBytes: return "ingest.bytes";
     case kIngestKeys: return "ingest.keys";
-    case kIndexDeferredOps: return "index.deferred.ops";
-    case kIndexDeferredApplies: return "index.deferred.applies";
-    case kTimestampValidations: return "index.timestamp.validations";
-    case kTimestampRejects: return "index.timestamp.rejects";
     case kShardWritesRouted: return "shard.writes.routed";
     case kShardLookupFanouts: return "shard.lookup.fanouts";
     case kShardMergeCandidates: return "shard.merge.candidates";

@@ -59,10 +59,6 @@ enum Ticker : uint32_t {
   kIngestFiles,           // SSTables spliced in by IngestExternalFiles
   kIngestBytes,           // bytes of the above
   kIngestKeys,            // records ingested (memtable+WAL bypassed)
-  kIndexDeferredOps,      // index ops buffered by kDeferredBatch maintenance
-  kIndexDeferredApplies,  // deferred-buffer drains that applied >= 1 op
-  kTimestampValidations,  // candidate checks done via IsNewestVersion only
-  kTimestampRejects,      // of those, candidates rejected without a fetch
   kShardWritesRouted,     // PUT/DELETE calls routed to a shard by ShardedDB
   kShardLookupFanouts,    // cross-shard LOOKUP/RANGELOOKUP fan-outs
   kShardMergeCandidates,  // per-shard results examined by the cross-shard merge

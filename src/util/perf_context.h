@@ -49,7 +49,7 @@ struct PerfContext {
   uint64_t get_micros = 0;       // DBImpl::Get (public entry only)
   uint64_t multiget_micros = 0;  // DBImpl::MultiGetWithMeta
   uint64_t lookup_micros = 0;    // SecondaryDB::Lookup/RangeLookup
-  uint64_t validate_micros = 0;  // FetchAndValidate[Batch]
+  uint64_t validate_micros = 0;  // CandidateSink resolution
 
   void Reset();
   void MergeFrom(const PerfContext& other);

@@ -757,6 +757,40 @@ TEST_P(SecondaryRepairTest, MetaBlockCorruptionFailsOpenNotWrong) {
   crash::VerifyRecovered(db.get(), ops, model, nullptr, "meta-fail-open");
 }
 
+TEST_P(SecondaryRepairTest, ParanoidLookupSurfacesPrimaryCorruption) {
+  auto ops = MakeWorkload();
+  crash::Model model;
+  BuildStore(ops, &model);
+
+  // Damage every data block of every primary table (footer, index and
+  // metaindex stay intact, so the tables still open): whichever record a
+  // lookup touches, its read fails the checksum.
+  int corrupted = 0;
+  for (const std::string& path : FilesOfType(&env_, PrimaryDir(), kTableFile)) {
+    TableLayout layout;
+    ASSERT_TRUE(ReadLayout(&env_, path, &layout).ok()) << path;
+    ASSERT_TRUE(env_.CorruptFile(path, 0, layout.metaindex.offset()).ok());
+    corrupted++;
+  }
+  ASSERT_GT(corrupted, 0);
+
+  // Paranoid mode promises fail-fast: the damage must surface as an error
+  // on the sequential and the chunked validation path alike, never as a
+  // silently shorter result list.
+  for (int parallelism : {0, 4}) {
+    SecondaryDBOptions options = MakeOptions();
+    options.base.paranoid_checks = true;
+    options.base.read_parallelism = parallelism;
+    std::unique_ptr<SecondaryDB> db;
+    ASSERT_TRUE(SecondaryDB::Open(options, kPath, &db).ok());
+    std::vector<QueryResult> results;
+    Status s = db->Lookup("UserID", "user1", 0, &results);
+    EXPECT_TRUE(s.IsCorruption())
+        << "p=" << parallelism << ": " << s.ToString() << " with "
+        << results.size() << " results";
+  }
+}
+
 std::string IndexTypeName(const testing::TestParamInfo<IndexType>& info) {
   switch (info.param) {
     case IndexType::kNoIndex: return "NoIndex";
