@@ -12,9 +12,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # The tests that exercise cross-thread code paths: the group-commit writer
-# queue and background compaction (Concurrency*), and the parallel query
-# engine (MultiGet*, ParallelQuery*).
-SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery"
+# queue and background compaction (Concurrency*), the parallel query engine
+# (MultiGet*, ParallelQuery*), and reads over a queue of immutable memtables
+# while the background lane holds their flushes (ImmQueueRead*).
+SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead"
 if [[ "${1:-}" == "--sanitize-all" || "${1:-}" == "--tsan-all" ]]; then
   SAN_FILTER=""
 fi

@@ -791,6 +791,86 @@ TEST_P(SecondaryRepairTest, ParanoidLookupSurfacesPrimaryCorruption) {
   }
 }
 
+// GetLite under paranoid checks: a newer residence that cannot be read must
+// fail the validity check, not pass the older record off as the newest.
+class GetLiteRepairTest : public testing::Test {
+ protected:
+  static constexpr const char* kPath = "/getlite";
+
+  GetLiteRepairTest() : base_(NewMemEnv()), env_(base_.get()) {}
+
+  SecondaryDBOptions MakeOptions() {
+    SecondaryDBOptions options =
+        crash::MakeCrashOptions(&env_, IndexType::kEmbedded);
+    options.base.compression = kNoCompression;
+    return options;
+  }
+
+  std::unique_ptr<Env> base_;
+  FaultInjectionEnv env_;
+};
+
+TEST_F(GetLiteRepairTest, ParanoidLookupSurfacesNewerResidenceCorruption) {
+  const std::string primary = std::string(kPath) + "/primary";
+  std::set<std::string> old_tables;
+  {
+    std::unique_ptr<SecondaryDB> db;
+    ASSERT_TRUE(SecondaryDB::Open(MakeOptions(), kPath, &db).ok());
+    // Every record starts as user "uA" and is compacted below L0.
+    for (int i = 0; i < 100; i++) {
+      const crash::Op op = crash::PutOp(NumKey(i), "uA", 1000 + i);
+      ASSERT_TRUE(db->Put(op.key, op.doc).ok());
+    }
+    ASSERT_TRUE(db->CompactAll().ok());
+    std::string l0;
+    ASSERT_TRUE(db->primary()->GetProperty("leveldbpp.num-files-at-level0",
+                                           &l0));
+    ASSERT_EQ("0", l0);
+    for (const std::string& t : FilesOfType(&env_, primary, kTableFile)) {
+      old_tables.insert(t);
+    }
+    // One record moves to user "uB"; its new version is flushed to L0.
+    const crash::Op op = crash::PutOp(NumKey(7), "uB", 5000);
+    ASSERT_TRUE(db->Put(op.key, op.doc).ok());
+    ASSERT_TRUE(db->primary()->Write(WriteOptions(), nullptr).ok());
+    ASSERT_TRUE(db->primary()->GetProperty("leveldbpp.num-files-at-level0",
+                                           &l0));
+    ASSERT_EQ("1", l0);
+  }
+
+  // Damage only the data blocks of that L0 table: its filters, zone maps
+  // and index stay readable, so the table opens, the scan prunes it (its
+  // zone map holds only "uB"), and GetLite's bloom probe still says the
+  // key may be there — only the confirming read fails.
+  int corrupted = 0;
+  for (const std::string& path : FilesOfType(&env_, primary, kTableFile)) {
+    if (old_tables.count(path) != 0) continue;
+    TableLayout layout;
+    ASSERT_TRUE(ReadLayout(&env_, path, &layout).ok()) << path;
+    uint64_t data_end = layout.metaindex.offset();
+    for (const auto& meta : layout.meta_blocks) {
+      data_end = std::min(data_end, meta.second.offset());
+    }
+    ASSERT_GT(data_end, 0u);
+    ASSERT_TRUE(env_.CorruptFile(path, 0, data_end).ok());
+    corrupted++;
+  }
+  ASSERT_EQ(1, corrupted);
+
+  for (int parallelism : {0, 4}) {
+    SecondaryDBOptions options = MakeOptions();
+    options.base.paranoid_checks = true;
+    options.base.read_parallelism = parallelism;
+    std::unique_ptr<SecondaryDB> db;
+    ASSERT_TRUE(SecondaryDB::Open(options, kPath, &db).ok());
+    std::vector<QueryResult> results;
+    Status s = db->Lookup("UserID", "uA", 0, &results);
+    EXPECT_TRUE(s.IsCorruption())
+        << "p=" << parallelism << ": " << s.ToString() << " with "
+        << results.size() << " results";
+  }
+}
+
 std::string IndexTypeName(const testing::TestParamInfo<IndexType>& info) {
   switch (info.param) {
     case IndexType::kNoIndex: return "NoIndex";
