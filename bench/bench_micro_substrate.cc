@@ -10,6 +10,7 @@
 #include "core/posting_list.h"
 #include "db/dbformat.h"
 #include "db/memtable.h"
+#include "db/options.h"
 #include "table/block.h"
 #include "table/block_builder.h"
 #include "table/filter_policy.h"
@@ -17,6 +18,7 @@
 #include "util/comparator.h"
 #include "util/crc32c.h"
 #include "util/random.h"
+#include "workload/tweet_generator.h"
 
 namespace leveldbpp {
 namespace {
@@ -56,6 +58,17 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * data.size());
 }
 BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(65536);
+
+// The table loop Extend falls back to on CPUs without SSE4.2.
+void BM_Crc32cPortable(benchmark::State& state) {
+  std::string data(state.range(0), 'x');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crc32c::internal::ExtendPortable(0, data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_Crc32cPortable)->Arg(4096)->Arg(65536);
 
 void BM_BloomCreate(benchmark::State& state) {
   std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(20));
@@ -108,19 +121,32 @@ void BM_SimpleLZCompress(benchmark::State& state) {
 }
 BENCHMARK(BM_SimpleLZCompress);
 
-void BM_SimpleLZUncompress(benchmark::State& state) {
-  std::string data;
-  Random64 rnd(7);
-  while (data.size() < 4096) {
-    data += "{\"UserID\":\"u" + std::to_string(rnd.Uniform(100)) +
-            "\",\"Body\":\"some tweet text here\"}";
+// A primary-table data block as the engine writes it: TweetGenerator
+// documents under internal keys, cut at the default block size.
+std::string TweetDataBlock() {
+  const Options defaults;
+  TweetGenerator gen{TweetGeneratorOptions()};
+  BlockBuilder builder(defaults.block_restart_interval);
+  SequenceNumber seq = 1;
+  while (builder.CurrentSizeEstimate() < defaults.block_size) {
+    Tweet t = gen.Next();
+    std::string key;
+    AppendInternalKey(&key, ParsedInternalKey(t.tweet_id, seq++, kTypeValue));
+    builder.Add(Slice(key), Slice(t.ToJson()));
   }
+  return builder.Finish().ToString();
+}
+
+void BM_SimpleLZUncompress(benchmark::State& state) {
+  const std::string data = TweetDataBlock();
   std::string compressed;
   simplelz::Compress(Slice(data), &compressed);
   std::string out(data.size(), '\0');
   for (auto _ : state) {
-    simplelz::Uncompress(Slice(compressed), out.data());
-    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(
+        simplelz::Uncompress(Slice(compressed), out.data()));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * data.size());
 }

@@ -46,6 +46,10 @@
 #     pair-materialization bound, many tiny groups are index-probe bound,
 #     so the sweep separates the variants' probe costs from the shared
 #     join machinery.
+#   * bench_micro_substrate, block-read kernels — CRC32C on the dispatched
+#     path and on the portable fallback, and SimpleLZ on a TweetGenerator
+#     data block: the per-block checksum and decompress stages every
+#     uncached block read pays.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -109,6 +113,18 @@ echo "==> range scans (heap-merge vs sorted view, selectivity sweep)"
 
 echo "==> joins (index-nested-loop, join-value cardinality sweep)"
 "${bin}/bench/bench_join" --n=4000 --reps=3 >> "${tmp}"
+
+echo "==> block-read kernels (crc32c dispatched vs portable, SimpleLZ)"
+"${bin}/bench/bench_micro_substrate" --benchmark_filter='BM_Crc32c|BM_SimpleLZ' \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+  --benchmark_format=json |
+  python3 -c 'import json, sys
+for b in json.load(sys.stdin)["benchmarks"]:
+    if b.get("aggregate_name") == "median":
+        print(json.dumps({"bench": "micro_kernel", "name": b["run_name"],
+                          "ns": round(b["real_time"], 1),
+                          "bytes_per_second": round(b["bytes_per_second"])}))' \
+  >> "${tmp}"
 
 mv "${tmp}" "${out}"
 trap - EXIT

@@ -14,8 +14,10 @@ cd "$(dirname "$0")/.."
 # The tests that exercise cross-thread code paths: the group-commit writer
 # queue and background compaction (Concurrency*), the parallel query engine
 # (MultiGet*, ParallelQuery*), and reads over a queue of immutable memtables
-# while the background lane holds their flushes (ImmQueueRead*).
-SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead"
+# while the background lane holds their flushes (ImmQueueRead*). Also the
+# block-read kernels (Crc32c*, SimpleLZ*): the hardware CRC path and the
+# decoder's over-wide copies, whose bounds ASan checks on exact buffers.
+SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ"
 if [[ "${1:-}" == "--sanitize-all" || "${1:-}" == "--tsan-all" ]]; then
   SAN_FILTER=""
 fi

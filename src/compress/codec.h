@@ -32,6 +32,11 @@ namespace simplelz {
 /// expected to fall back to kNoCompression if the result is not smaller.
 void Compress(const Slice& input, std::string* output);
 
+/// No stream expands by more than this factor: the densest op is a 3-byte
+/// match that writes 67 bytes. A length header claiming more than
+/// kMaxExpansion times the compressed size is corrupt.
+constexpr uint64_t kMaxExpansion = 23;
+
 /// Exact size of the uncompressed payload, or false on malformed input.
 bool GetUncompressedLength(const Slice& compressed, uint32_t* result);
 

@@ -90,29 +90,50 @@ bool Uncompress(const Slice& compressed, char* output) {
   char* op = output;
   char* op_end = output + ulen;
 
+  // Every op is checked before it writes anything. The fast copies below
+  // may write up to 15 bytes past the op's own end, but only where the
+  // output has that room: the next op overwrites them, and the final
+  // op == op_end check rejects a stream that leaves any unwritten.
   while (ip < end) {
     uint8_t tag = static_cast<uint8_t>(*ip++);
     if ((tag & 0x80) == 0) {
-      // Literal run.
+      // Literal run: 16-byte chunks while both buffers have room for the
+      // run rounded up to 16, one exact memcpy near either end.
       size_t run = tag;
-      if (run == 0 || ip + run > end || op + run > op_end) return false;
-      memcpy(op, ip, run);
+      if (run == 0 || run > static_cast<size_t>(end - ip) ||
+          run > static_cast<size_t>(op_end - op)) {
+        return false;
+      }
+      const size_t rounded = (run + 15) & ~size_t{15};
+      if (rounded <= static_cast<size_t>(end - ip) &&
+          rounded <= static_cast<size_t>(op_end - op)) {
+        for (size_t i = 0; i < run; i += 16) memcpy(op + i, ip + i, 16);
+      } else {
+        memcpy(op, ip, run);
+      }
       ip += run;
       op += run;
     } else {
       // Match.
       size_t len = (tag & 0x3F) + kMinMatch;
-      if (ip + 2 > end) return false;
+      if (end - ip < 2) return false;
       size_t offset = static_cast<uint8_t>(ip[0]) |
                       (static_cast<size_t>(static_cast<uint8_t>(ip[1])) << 8);
       ip += 2;
       if (offset == 0 || offset > static_cast<size_t>(op - output) ||
-          op + len > op_end) {
+          len > static_cast<size_t>(op_end - op)) {
         return false;
       }
-      // Byte-wise copy: matches may overlap themselves (RLE-style).
       const char* from = op - offset;
-      for (size_t i = 0; i < len; i++) op[i] = from[i];
+      if (offset >= 8 &&
+          ((len + 7) & ~size_t{7}) <= static_cast<size_t>(op_end - op)) {
+        // 8-byte chunks: with offset >= 8 each chunk reads only bytes
+        // already written, so a self-overlapping match still copies right.
+        for (size_t i = 0; i < len; i += 8) memcpy(op + i, from + i, 8);
+      } else {
+        // Short offsets (RLE-style overlap) and the tail of the buffer.
+        for (size_t i = 0; i < len; i++) op[i] = from[i];
+      }
       op += len;
     }
   }

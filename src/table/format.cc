@@ -112,7 +112,10 @@ Status ReadBlock(RandomAccessFile* file, bool verify_checksums,
       break;
     case kSimpleLZCompression: {
       uint32_t ulength = 0;
-      if (!simplelz::GetUncompressedLength(Slice(data, n), &ulength)) {
+      // Bound the claimed length before allocating for it: with checksums
+      // off, a damaged header could otherwise ask for up to 4 GiB.
+      if (!simplelz::GetUncompressedLength(Slice(data, n), &ulength) ||
+          ulength > simplelz::kMaxExpansion * n) {
         delete[] buf;
         if (stats != nullptr) stats->Record(kCorruptionBlocksDetected);
         return Status::Corruption("corrupted compressed block contents");

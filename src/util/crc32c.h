@@ -11,8 +11,19 @@ namespace leveldbpp {
 namespace crc32c {
 
 /// Return the crc32c of concat(A, data[0, n-1]) where init_crc is the
-/// crc32c of some string A.
+/// crc32c of some string A. Uses the SSE4.2 crc32 instruction when the CPU
+/// has it (probed once, on first call) and a portable table loop otherwise;
+/// both give the same result.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// True when Extend runs on the CPU's CRC32C instruction.
+bool IsHardwareAccelerated();
+
+namespace internal {
+/// The portable table loop Extend falls back to. Exposed so tests can check
+/// it against the dispatched path and benchmarks can keep timing it.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+}  // namespace internal
 
 /// Return the crc32c of data[0, n-1].
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
