@@ -143,6 +143,12 @@ DBImpl::~DBImpl() {
          flush_in_progress_) {
     background_work_finished_signal_.Wait();
   }
+  // A flush or compaction whose old version a reader still held could not
+  // delete that version's files, and nothing deletes them later if no more
+  // background work runs. Every reader is gone now: sweep them, so the store
+  // a close leaves behind does not depend on how reads and the last
+  // compaction happened to overlap.
+  if (opened_) RemoveObsoleteFiles();
   mutex_.Unlock();
 
   if (mem_ != nullptr) mem_->Unref();
@@ -204,6 +210,7 @@ Status DBImpl::Open(const Options& options, const std::string& dbname,
     s = impl->MaybeCompact();
   }
   if (s.ok()) {
+    impl->opened_ = true;
     *dbptr = impl;
   } else {
     delete impl;

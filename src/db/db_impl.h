@@ -427,6 +427,9 @@ class DBImpl : public DB {
   // queue, pending_outputs_, and the compaction token.
   port::Mutex mutex_;
   std::atomic<bool> shutting_down_{false};
+  // Set once Open succeeds. Only then does the version set describe the
+  // directory, so only then may the destructor delete files it does not list.
+  bool opened_ = false;
   // Signalled when background work finishes, the compaction token is
   // released, or an imm_ flush completes (the stall ladder waits here).
   port::CondVar background_work_finished_signal_;

@@ -235,6 +235,41 @@ TEST_F(DBTest, CompactAllMovesEverythingDown) {
   ASSERT_EQ(std::string(300, 'z'), Get("key1234"));
 }
 
+TEST_F(DBTest, CloseDeletesFilesAReaderKeptPastCompaction) {
+  auto table_files_on_disk = [&]() {
+    std::vector<std::string> children;
+    env_->GetChildren(dbname_, &children);
+    int n = 0;
+    uint64_t number;
+    FileType type;
+    for (const std::string& name : children) {
+      if (ParseFileName(name, &number, &type) && type == kTableFile) n++;
+    }
+    return n;
+  };
+  std::map<std::string, std::string> model;
+  Random64 rnd(7);
+  for (int i = 0; i < 3000; i++) {
+    const std::string key = "k" + std::to_string(rnd.Uniform(1000));
+    const std::string value = "v" + std::to_string(i) + std::string(100, 'f');
+    ASSERT_TRUE(Put(key, value).ok());
+    model[key] = value;
+  }
+  // The open iterator pins the pre-compaction version, so the compaction
+  // cannot delete its inputs, and releasing the iterator does not either.
+  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  ASSERT_TRUE(db_->CompactAll().ok());
+  iter.reset();
+  const int live = TotalTableFiles();
+  ASSERT_GT(table_files_on_disk(), live);
+
+  db_.reset();
+  ASSERT_EQ(live, table_files_on_disk());
+  Reopen(LastOptions());
+  ASSERT_EQ(live, TotalTableFiles());
+  for (const auto& [key, value] : model) ASSERT_EQ(value, Get(key)) << key;
+}
+
 TEST_F(DBTest, DeleteSurvivesCompaction) {
   ASSERT_TRUE(Put("doomed", "v").ok());
   ASSERT_TRUE(db_->CompactAll().ok());
