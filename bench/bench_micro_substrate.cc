@@ -1,12 +1,14 @@
 // Substrate microbenchmarks (google-benchmark): the primitives every
 // experiment rests on — coding, checksums, bloom filters, compression,
-// skiplist/memtable, block build/read, posting-list merge.
+// skiplist/memtable, block build/read, JSON attribute extraction,
+// posting-list parse and merge.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "compress/codec.h"
+#include "core/document.h"
 #include "core/posting_list.h"
 #include "db/dbformat.h"
 #include "db/memtable.h"
@@ -198,6 +200,47 @@ void BM_BlockBuildAndSeek(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BlockBuildAndSeek);
+
+// The per-record attribute check of every LOOKUP: UserID out of a
+// TweetGenerator document.
+void BM_JsonExtract(benchmark::State& state) {
+  TweetGenerator gen{TweetGeneratorOptions()};
+  std::vector<std::string> docs;
+  for (int i = 0; i < 64; i++) docs.push_back(gen.Next().ToJson());
+  const JsonAttributeExtractor* extractor = JsonAttributeExtractor::Instance();
+  const std::string attr = "UserID";
+  std::string out;
+  size_t i = 0, bytes = 0;
+  for (auto _ : state) {
+    const std::string& doc = docs[i++ % docs.size()];
+    benchmark::DoNotOptimize(extractor->Extract(Slice(doc), attr, &out));
+    bytes += doc.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_JsonExtract);
+
+// Decoding one stored posting list: 910 entries, the size of a popular
+// user's list on the Fig 10 static workload, every 8th a deletion marker.
+void BM_PostingListParse(benchmark::State& state) {
+  std::vector<PostingEntry> entries;
+  uint64_t seq = 1000000;
+  for (int i = 0; i < 910; i++) {
+    char key[24];
+    std::snprintf(key, sizeof(key), "t%012d", i * 7919);  // A tweet ID
+    entries.emplace_back(key, seq -= 13, i % 8 == 0);
+  }
+  std::string data;
+  PostingList::Serialize(entries, &data);
+  std::vector<PostingEntry> parsed;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PostingList::Parse(Slice(data), &parsed));
+  }
+  state.SetItemsProcessed(state.iterations() * entries.size());
+  state.SetBytesProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_PostingListParse);
 
 void BM_PostingListMerge(benchmark::State& state) {
   // Merge 4 fragments of 32 entries each — a typical Lazy compaction step.

@@ -50,6 +50,9 @@
 #     path and on the portable fallback, and SimpleLZ on a TweetGenerator
 #     data block: the per-block checksum and decompress stages every
 #     uncached block read pays.
+#     Also the per-record kernels: UserID extraction from a TweetGenerator
+#     document (every LOOKUP's attribute check) and decoding a 910-entry
+#     posting list (every Lazy/Eager/Composite LOOKUP and Lazy merge).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -114,8 +117,9 @@ echo "==> range scans (heap-merge vs sorted view, selectivity sweep)"
 echo "==> joins (index-nested-loop, join-value cardinality sweep)"
 "${bin}/bench/bench_join" --n=4000 --reps=3 >> "${tmp}"
 
-echo "==> block-read kernels (crc32c dispatched vs portable, SimpleLZ)"
-"${bin}/bench/bench_micro_substrate" --benchmark_filter='BM_Crc32c|BM_SimpleLZ' \
+echo "==> kernels (crc32c, SimpleLZ, JSON extract, posting-list parse)"
+"${bin}/bench/bench_micro_substrate" \
+  --benchmark_filter='BM_Crc32c|BM_SimpleLZ|BM_JsonExtract|BM_PostingListParse' \
   --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
   --benchmark_format=json |
   python3 -c 'import json, sys

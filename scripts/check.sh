@@ -16,8 +16,11 @@ cd "$(dirname "$0")/.."
 # (MultiGet*, ParallelQuery*), and reads over a queue of immutable memtables
 # while the background lane holds their flushes (ImmQueueRead*). Also the
 # block-read kernels (Crc32c*, SimpleLZ*): the hardware CRC path and the
-# decoder's over-wide copies, whose bounds ASan checks on exact buffers.
-SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ"
+# decoder's over-wide copies, whose bounds ASan checks on exact buffers. And
+# the JSON scanner's suites (Json*, JsonAttributeExtractor*, PostingList*):
+# it walks raw pointers over stored bytes, fuzzed by their differential
+# tests.
+SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList"
 if [[ "${1:-}" == "--sanitize-all" || "${1:-}" == "--tsan-all" ]]; then
   SAN_FILTER=""
 fi

@@ -5,17 +5,32 @@ namespace leveldbpp {
 bool JsonAttributeExtractor::Extract(const Slice& record_value,
                                      const std::string& attr,
                                      std::string* out) const {
-  json::Value doc;
-  if (!json::Parse(record_value, &doc) || !doc.is_object()) {
+  using Type = json::Value::Type;
+  // Validate the whole record, noting where the last member named `attr`
+  // starts (a repeated key: last wins); only that value is materialized.
+  json::Scanner scanner(record_value);
+  const Slice name(attr);
+  bool found = false;
+  Slice value;
+  if (scanner.PeekType() != Type::kObject ||
+      !scanner.ParseObject([&](const Slice& key) {
+        if (key == name) {
+          found = true;
+          value = scanner.Rest();
+        }
+        return scanner.ParseValue(nullptr);
+      }) ||
+      !scanner.AtEnd() || !found) {
     return false;
   }
-  const json::Value& v = doc[attr];
-  switch (v.type()) {
-    case json::Value::Type::kString:
-      *out = v.as_string();
-      return true;
-    case json::Value::Type::kNumber:
-    case json::Value::Type::kBool: {
+  json::Scanner member(value);
+  switch (member.PeekType()) {
+    case Type::kString:
+      return member.ParseString(out);
+    case Type::kNumber:
+    case Type::kBool: {
+      json::Value v;
+      if (!member.ParseValue(&v)) return false;
       out->clear();
       v.Serialize(out);
       return true;

@@ -17,6 +17,11 @@ namespace leveldbpp {
 /// serialization. Attribute encodings must be order-preserving under
 /// bytewise comparison for zone maps / range queries to prune correctly
 /// (e.g. use fixed-width decimal timestamps).
+///
+/// The record is checked against json::Parse's grammar (json::Scanner) in
+/// full, but only the last top-level member named `attr` is materialized. A
+/// malformed record — including one nested deeper than json::kMaxDepth —
+/// extracts nothing, so it is stored but not indexed.
 class JsonAttributeExtractor : public AttributeExtractor {
  public:
   bool Extract(const Slice& record_value, const std::string& attr,

@@ -15,18 +15,24 @@ namespace leveldbpp {
 namespace {
 
 // A match that is the FIRST entry of its block may have a newer same-file
-// version ending the previous block (versions sort newest-first and can
-// straddle a block boundary). One same-table probe resolves it, settled by
-// Get's rule.
-Status SupersededWithinTable(Table* table, const ReadOptions& read_options,
-                             bool paranoid, const ParsedInternalKey& ikey,
+// version ending an earlier block (versions sort newest-first and can
+// straddle a block boundary). The in-memory index seek InternalGet itself
+// makes tells whether they do; only then does one same-table probe, settled
+// by Get's rule, read that earlier block. Otherwise the probe would land on
+// `block` — the one being scanned — and find this very entry.
+Status SupersededWithinTable(Table* table, size_t block,
+                             const ReadOptions& read_options, bool paranoid,
+                             const ParsedInternalKey& ikey,
                              bool* superseded) {
+  *superseded = false;
   LookupKey lk(ikey.user_key, kMaxSequenceNumber);
+  if (table->BlockIndexForKey(lk.internal_key()) >= block) {
+    return Status::OK();
+  }
   KeyProbe probe(BytewiseComparator(), ikey.user_key);
   probe.io = table->InternalGet(read_options, lk.internal_key(), &probe,
                                 &KeyProbe::Save);
   Status s;
-  *superseded = false;
   if (!probe.Settles(paranoid, &s)) return Status::OK();
   if (!probe.hit()) return s;
   *superseded = probe.seq > ikey.sequence;
@@ -153,8 +159,8 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
           if (ikey.type != kTypeValue) continue;
           bool superseded = false;
           if (was_first && c.block > 0) {
-            s = SupersededWithinTable(c.table, read_options, paranoid, ikey,
-                                      &superseded);
+            s = SupersededWithinTable(c.table, c.block, read_options,
+                                      paranoid, ikey, &superseded);
           }
           if (s.ok() && !superseded) emit(ikey, it->value());
         }

@@ -28,22 +28,44 @@ void PostingList::Serialize(const std::vector<PostingEntry>& entries,
 }
 
 bool PostingList::Parse(const Slice& data, std::vector<PostingEntry>* out) {
+  using Type = json::Value::Type;
   out->clear();
-  json::Value v;
-  if (!json::Parse(data, &v) || !v.is_array()) return false;
-  out->reserve(v.as_array().size());
-  for (const json::Value& item : v.as_array()) {
-    if (!item.is_array()) return false;
-    const json::Array& tuple = item.as_array();
-    if (tuple.size() < 2 || !tuple[0].is_string() || !tuple[1].is_number()) {
+  // Each tuple decodes straight into its entry: the key string, the seq
+  // number, an optional numeric deletion flag; further elements are
+  // validated and ignored.
+  json::Scanner scanner(data);
+  auto parse_entry = [&](size_t) {
+    PostingEntry e;
+    size_t fields = 0;
+    double number = 0;
+    if (scanner.PeekType() != Type::kArray ||
+        !scanner.ParseArray([&](size_t i) {
+          fields = i + 1;
+          if (i == 0) {
+            return scanner.PeekType() == Type::kString &&
+                   scanner.ParseString(&e.primary_key);
+          }
+          if (i > 2 || scanner.PeekType() != Type::kNumber) {
+            return i != 1 && scanner.ParseValue(nullptr);
+          }
+          if (!scanner.ParseNumber(&number)) return false;
+          if (i == 1) {
+            e.seq = static_cast<SequenceNumber>(json::TruncateToInt64(number));
+          } else {
+            e.deleted = json::TruncateToInt64(number) != 0;
+          }
+          return true;
+        }) ||
+        fields < 2) {
       return false;
     }
-    PostingEntry e;
-    e.primary_key = tuple[0].as_string();
-    e.seq = static_cast<SequenceNumber>(tuple[1].as_int());
-    e.deleted = (tuple.size() >= 3 && tuple[2].is_number() &&
-                 tuple[2].as_int() != 0);
     out->push_back(std::move(e));
+    return true;
+  };
+  if (scanner.PeekType() != Type::kArray ||
+      !scanner.ParseArray(parse_entry) || !scanner.AtEnd()) {
+    out->clear();
+    return false;
   }
   return true;
 }

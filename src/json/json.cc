@@ -1,10 +1,13 @@
 #include "json/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace leveldbpp {
 namespace json {
@@ -115,212 +118,247 @@ void Value::Serialize(std::string* out) const {
 
 namespace {
 
-class Parser {
- public:
-  Parser(const char* p, const char* end) : p_(p), end_(end) {}
-
-  bool ParseValue(Value* out) {
-    SkipWs();
-    if (p_ >= end_) return false;
-    switch (*p_) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"': {
-        std::string s;
-        if (!ParseString(&s)) return false;
-        *out = Value(std::move(s));
-        return true;
-      }
-      case 't':
-        if (Match("true")) {
-          *out = Value(true);
-          return true;
-        }
-        return false;
-      case 'f':
-        if (Match("false")) {
-          *out = Value(false);
-          return true;
-        }
-        return false;
-      case 'n':
-        if (Match("null")) {
-          *out = Value();
-          return true;
-        }
-        return false;
-      default:
-        return ParseNumber(out);
-    }
+// First '"' or '\\' in [p, end), or end.
+const char* FindQuoteOrBackslash(const char* p, const char* end) {
+#if defined(__SSE2__)
+  const __m128i quote = _mm_set1_epi8('"');
+  const __m128i backslash = _mm_set1_epi8('\\');
+  while (end - p >= 16) {
+    const __m128i chunk =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    const int mask = _mm_movemask_epi8(_mm_or_si128(
+        _mm_cmpeq_epi8(chunk, quote), _mm_cmpeq_epi8(chunk, backslash)));
+    if (mask != 0) return p + __builtin_ctz(mask);
+    p += 16;
   }
+#endif
+  while (p < end && *p != '"' && *p != '\\') p++;
+  return p;
+}
 
-  bool AtEnd() {
-    SkipWs();
-    return p_ >= end_;
-  }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
- private:
-  void SkipWs() {
-    while (p_ < end_ &&
-           (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
-      p_++;
-    }
-  }
-
-  bool Match(const char* lit) {
-    size_t n = std::strlen(lit);
-    if (static_cast<size_t>(end_ - p_) < n) return false;
-    if (std::memcmp(p_, lit, n) != 0) return false;
-    p_ += n;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (p_ >= end_ || *p_ != '"') return false;
-    p_++;
-    out->clear();
-    while (p_ < end_) {
-      char c = *p_++;
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (p_ >= end_) return false;
-        char e = *p_++;
-        switch (e) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            if (end_ - p_ < 4) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; i++) {
-              char h = *p_++;
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= (h - '0');
-              else if (h >= 'a' && h <= 'f') code |= (h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= (h - 'A' + 10);
-              else return false;
-            }
-            // Encode as UTF-8 (surrogate pairs unsupported; BMP only).
-            if (code < 0x80) {
-              out->push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;  // Unterminated
-  }
-
-  bool ParseNumber(Value* out) {
-    const char* start = p_;
-    if (p_ < end_ && (*p_ == '-' || *p_ == '+')) p_++;
-    bool digits = false;
-    while (p_ < end_ && (std::isdigit(static_cast<unsigned char>(*p_)) ||
-                         *p_ == '.' || *p_ == 'e' || *p_ == 'E' ||
-                         *p_ == '-' || *p_ == '+')) {
-      if (std::isdigit(static_cast<unsigned char>(*p_))) digits = true;
-      p_++;
-    }
-    if (!digits) return false;
-    std::string num(start, p_ - start);
-    char* endp = nullptr;
-    double d = std::strtod(num.c_str(), &endp);
-    if (endp != num.c_str() + num.size()) return false;
-    *out = Value(d);
-    return true;
-  }
-
-  bool ParseArray(Value* out) {
-    p_++;  // '['
-    Array arr;
-    SkipWs();
-    if (p_ < end_ && *p_ == ']') {
-      p_++;
-      *out = Value(std::move(arr));
-      return true;
-    }
-    while (true) {
-      Value v;
-      if (!ParseValue(&v)) return false;
-      arr.push_back(std::move(v));
-      SkipWs();
-      if (p_ >= end_) return false;
-      if (*p_ == ',') {
-        p_++;
-        continue;
-      }
-      if (*p_ == ']') {
-        p_++;
-        *out = Value(std::move(arr));
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseObject(Value* out) {
-    p_++;  // '{'
-    Object obj;
-    SkipWs();
-    if (p_ < end_ && *p_ == '}') {
-      p_++;
-      *out = Value(std::move(obj));
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      SkipWs();
-      if (p_ >= end_ || *p_ != ':') return false;
-      p_++;
-      Value v;
-      if (!ParseValue(&v)) return false;
-      obj[std::move(key)] = std::move(v);
-      SkipWs();
-      if (p_ >= end_) return false;
-      if (*p_ == ',') {
-        p_++;
-        continue;
-      }
-      if (*p_ == '}') {
-        p_++;
-        *out = Value(std::move(obj));
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const char* p_;
-  const char* end_;
-};
+// Bytes a number token runs over; the token ends at the first other byte.
+bool IsNumberByte(char c) {
+  return IsDigit(c) || c == '.' || c == 'e' || c == 'E' || c == '-' ||
+         c == '+';
+}
 
 }  // namespace
 
+Value::Type Scanner::PeekType() {
+  SkipWs();
+  if (p_ == end_) return Value::Type::kNumber;
+  switch (*p_) {
+    case '{': return Value::Type::kObject;
+    case '[': return Value::Type::kArray;
+    case '"': return Value::Type::kString;
+    case 't':
+    case 'f': return Value::Type::kBool;
+    case 'n': return Value::Type::kNull;
+    default: return Value::Type::kNumber;
+  }
+}
+
+bool Scanner::ParseValue(Value* out) {
+  switch (PeekType()) {
+    case Value::Type::kObject: {
+      if (out == nullptr) {
+        return ParseObject(
+            [this](const Slice&) { return ParseValue(nullptr); });
+      }
+      Object obj;
+      if (!ParseObject([&](const Slice& key) {
+            Value v;
+            if (!ParseValue(&v)) return false;
+            obj[key.ToString()] = std::move(v);  // A repeated key: last wins
+            return true;
+          })) {
+        return false;
+      }
+      *out = Value(std::move(obj));
+      return true;
+    }
+    case Value::Type::kArray: {
+      if (out == nullptr) {
+        return ParseArray([this](size_t) { return ParseValue(nullptr); });
+      }
+      Array arr;
+      if (!ParseArray([&](size_t) {
+            arr.emplace_back();
+            return ParseValue(&arr.back());
+          })) {
+        return false;
+      }
+      *out = Value(std::move(arr));
+      return true;
+    }
+    case Value::Type::kString: {
+      if (out == nullptr) return ParseString(nullptr);
+      std::string s;
+      if (!ParseString(&s)) return false;
+      *out = Value(std::move(s));
+      return true;
+    }
+    case Value::Type::kBool: {
+      const bool b = *p_ == 't';
+      if (!(b ? Match("true", 4) : Match("false", 5))) return false;
+      if (out != nullptr) *out = Value(b);
+      return true;
+    }
+    case Value::Type::kNull:
+      if (!Match("null", 4)) return false;
+      if (out != nullptr) *out = Value();
+      return true;
+    case Value::Type::kNumber: {
+      double d;
+      if (!ParseNumber(out == nullptr ? nullptr : &d)) return false;
+      if (out != nullptr) *out = Value(d);
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Scanner::Match(const char* lit, size_t n) {
+  if (static_cast<size_t>(end_ - p_) < n) return false;
+  if (std::memcmp(p_, lit, n) != 0) return false;
+  p_ += n;
+  return true;
+}
+
+bool Scanner::Open(char bracket) {
+  SkipWs();
+  if (p_ == end_ || *p_ != bracket || depth_ == kMaxDepth) return false;
+  p_++;
+  depth_++;
+  return true;
+}
+
+bool Scanner::Close(char bracket) {
+  SkipWs();
+  if (p_ == end_ || *p_ != bracket) return false;
+  p_++;
+  depth_--;
+  return true;
+}
+
+bool Scanner::ParseKey(Slice* key, std::string* unescaped) {
+  if (p_ == end_ || *p_ != '"') return false;
+  const char* start = p_ + 1;
+  const char* stop = FindQuoteOrBackslash(start, end_);
+  if (stop != end_ && *stop == '"') {
+    *key = Slice(start, static_cast<size_t>(stop - start));
+    p_ = stop + 1;
+    return true;
+  }
+  if (!ParseString(unescaped)) return false;
+  *key = Slice(*unescaped);
+  return true;
+}
+
+bool Scanner::ParseString(std::string* out) {
+  SkipWs();
+  if (p_ == end_ || *p_ != '"') return false;
+  p_++;
+  if (out != nullptr) out->clear();
+  while (true) {
+    const char* run = p_;
+    p_ = FindQuoteOrBackslash(p_, end_);
+    if (out != nullptr) out->append(run, static_cast<size_t>(p_ - run));
+    if (p_ == end_) return false;  // Unterminated
+    if (*p_++ == '"') return true;
+    if (p_ == end_) return false;
+    char decoded = 0;
+    switch (*p_++) {
+      case '"': decoded = '"'; break;
+      case '\\': decoded = '\\'; break;
+      case '/': decoded = '/'; break;
+      case 'b': decoded = '\b'; break;
+      case 'f': decoded = '\f'; break;
+      case 'n': decoded = '\n'; break;
+      case 'r': decoded = '\r'; break;
+      case 't': decoded = '\t'; break;
+      case 'u': {
+        if (end_ - p_ < 4) return false;
+        unsigned code = 0;
+        for (int i = 0; i < 4; i++) {
+          char h = *p_++;
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= (h - '0');
+          else if (h >= 'a' && h <= 'f') code |= (h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= (h - 'A' + 10);
+          else return false;
+        }
+        if (out == nullptr) continue;
+        // Encode as UTF-8 (surrogate pairs unsupported; BMP only).
+        if (code < 0x80) {
+          out->push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        continue;
+      }
+      default:
+        return false;
+    }
+    if (out != nullptr) out->push_back(decoded);
+  }
+}
+
+bool Scanner::ParseNumber(double* out) {
+  SkipWs();
+  // A number token is a sign and then every following byte from [0-9.eE+-];
+  // it is well-formed iff strtod would consume all of it, i.e. it reads
+  // [sign] (digits [. digits*] | . digits) [(e|E) [sign] digits].
+  const char* start = p_;
+  const char* p = p_;
+  bool negative = false;
+  if (p < end_ && (*p == '-' || *p == '+')) negative = *p++ == '-';
+  const char* int_begin = p;
+  while (p < end_ && IsDigit(*p)) p++;
+  const char* int_end = p;
+  bool digits = int_end != int_begin;
+  const bool integral = p == end_ || !IsNumberByte(*p);
+  if (!integral && *p == '.') {
+    p++;
+    while (p < end_ && IsDigit(*p)) {
+      p++;
+      digits = true;
+    }
+  }
+  if (!digits) return false;
+  if (p < end_ && (*p == 'e' || *p == 'E')) {
+    p++;
+    if (p < end_ && (*p == '-' || *p == '+')) p++;
+    if (p == end_ || !IsDigit(*p)) return false;
+    while (p < end_ && IsDigit(*p)) p++;
+  }
+  if (p < end_ && IsNumberByte(*p)) return false;  // strtod would stop short
+  p_ = p;
+  if (out == nullptr) return true;
+  // Up to 15 digits are exact in a double, so strtod's correctly rounded
+  // result is the integer itself.
+  if (integral && int_end - int_begin <= 15) {
+    int64_t n = 0;
+    for (const char* d = int_begin; d < int_end; d++) n = n * 10 + (*d - '0');
+    *out = negative ? -static_cast<double>(n) : static_cast<double>(n);
+    return true;
+  }
+  const std::string token(start, static_cast<size_t>(p - start));
+  *out = std::strtod(token.c_str(), nullptr);
+  return true;
+}
+
 bool Parse(const Slice& text, Value* out) {
-  Parser parser(text.data(), text.data() + text.size());
+  Scanner scanner(text);
   Value v;
-  if (!parser.ParseValue(&v) || !parser.AtEnd()) {
+  if (!scanner.ParseValue(&v) || !scanner.AtEnd()) {
     *out = Value();
     return false;
   }

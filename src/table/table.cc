@@ -352,6 +352,17 @@ size_t Table::BlockIndexForOffset(uint64_t offset) const {
   return lo;
 }
 
+size_t Table::BlockIndexForKey(const Slice& key) const {
+  std::unique_ptr<Iterator> iiter(
+      rep_->index_block->NewIterator(rep_->options.comparator));
+  iiter->Seek(key);
+  if (!iiter->Valid()) return NumDataBlocks();
+  Slice hv = iiter->value();
+  BlockHandle handle;
+  if (!handle.DecodeFrom(&hv).ok()) return NumDataBlocks();
+  return BlockIndexForOffset(handle.offset());
+}
+
 bool Table::KeyMayExistNoIO(const Slice& key) const {
   Iterator* iiter = rep_->index_block->NewIterator(rep_->options.comparator);
   iiter->Seek(key);

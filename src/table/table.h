@@ -74,6 +74,10 @@ class Table {
   bool SecondaryFileMayOverlap(const std::string& attr, const Slice& lo,
                                const Slice& hi) const;
 
+  /// Ordinal of the data block InternalGet(`key`) would read (NumDataBlocks()
+  /// if `key` sorts past the last block). Seeks only the in-memory index.
+  size_t BlockIndexForKey(const Slice& key) const;
+
   /// Iterator over data block `block_idx`. Caller deletes.
   Iterator* NewDataBlockIterator(const ReadOptions&, size_t block_idx) const;
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "json_reference.h"
+#include "workload/tweet_generator.h"
+
 namespace leveldbpp {
 namespace json {
 
@@ -84,6 +89,15 @@ TEST(Json, IntegersSerializeExactly) {
   EXPECT_EQ(123456789012345LL, v.as_int());
 }
 
+TEST(Json, AsIntTruncatesAndSaturatesOutOfRange) {
+  EXPECT_EQ(-1, Value(-1.9).as_int());
+  EXPECT_EQ(9007199254740992LL, Value(9007199254740992.0).as_int());
+  EXPECT_EQ(INT64_MIN, Value(-9223372036854775808.0).as_int());
+  EXPECT_EQ(INT64_MIN, Value(9223372036854775808.0).as_int());
+  EXPECT_EQ(INT64_MIN, Value(-1e300).as_int());
+  EXPECT_EQ(INT64_MIN, Value(std::nan("")).as_int());
+}
+
 TEST(Json, SerializeEscapes) {
   Value v(std::string("line1\nline2\t\"quoted\""));
   EXPECT_EQ(R"("line1\nline2\t\"quoted\"")", v.ToString());
@@ -98,6 +112,107 @@ TEST(Json, BuildProgrammatically) {
   obj["flags"] = Value(std::move(arr));
   Value v(std::move(obj));
   EXPECT_EQ(R"({"count":7,"flags":[true],"name":"bob"})", v.ToString());
+}
+
+namespace {
+
+std::string Nested(int depth, char open, char close) {
+  std::string s;
+  for (int i = 0; i < depth; i++) s += open == '{' ? "{\"a\":" : "[";
+  s += "1";
+  s.append(depth, close);
+  return s;
+}
+
+}  // namespace
+
+TEST(Json, NestingStopsAtMaxDepth) {
+  Value v;
+  EXPECT_TRUE(Parse(Nested(kMaxDepth, '[', ']'), &v));
+  EXPECT_TRUE(Parse(Nested(kMaxDepth, '{', '}'), &v));
+  EXPECT_FALSE(Parse(Nested(kMaxDepth + 1, '[', ']'), &v));
+  EXPECT_FALSE(Parse(Nested(kMaxDepth + 1, '{', '}'), &v));
+  EXPECT_TRUE(v.is_null());
+  // Depth is nesting, not a count of containers.
+  std::string wide = "[";
+  for (int i = 0; i < 2 * kMaxDepth; i++) wide += "[[]],";
+  wide += "1]";
+  EXPECT_TRUE(Parse(wide, &v));
+}
+
+// A document nested a million deep is malformed, not a stack overflow —
+// validated or built.
+TEST(Json, MillionDeepNestingIsMalformed) {
+  const std::string arrays = Nested(1000000, '[', ']');
+  const std::string objects = Nested(1000000, '{', '}');
+  Value v;
+  EXPECT_FALSE(Parse(arrays, &v));
+  EXPECT_FALSE(Parse(objects, &v));
+  EXPECT_FALSE(Scanner(arrays).ParseValue(nullptr));
+  EXPECT_FALSE(Scanner(objects).ParseValue(nullptr));
+  // Unterminated, too.
+  EXPECT_FALSE(Parse(std::string(1000000, '['), &v));
+}
+
+TEST(Json, ScannerValidatesWithoutBuilding) {
+  const char* good[] = {"1", "-0.5e+3", "\"a\\u0041\"", "[1,[true,null]]",
+                        "{\"a\":{\"b\":[]}}", " \"x\" "};
+  const char* bad[] = {"", "1.2.3", "\"\\x\"", "[1,]", "{\"a\" 1}", "nul",
+                       "+", "1e", "--1", "\"\\u12\""};
+  for (const char* text : good) {
+    Scanner scanner(text);
+    EXPECT_TRUE(scanner.ParseValue(nullptr) && scanner.AtEnd()) << text;
+  }
+  for (const char* text : bad) {
+    Scanner scanner(text);
+    EXPECT_FALSE(scanner.ParseValue(nullptr) && scanner.AtEnd()) << text;
+  }
+}
+
+TEST(Json, NumberForms) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"+12", "12"},          {"007", "7"},
+      {"-0", "0"},            {"1.", "1"},
+      {".5", "0.5"},          {"1E3", "1000"},
+      {"-2.5e-1", "-0.25"},   {"123456789012345678", "1.2345678901234568e+17"},
+      {"1e400", "inf"},       {"0.1", "0.10000000000000001"},
+  };
+  for (const auto& [text, serialized] : cases) {
+    Value v;
+    ASSERT_TRUE(Parse(text, &v)) << text;
+    EXPECT_EQ(serialized, v.ToString()) << text;
+  }
+  const char* malformed[] = {"1e", "1e+", "+-1", ".", "1-", "1.5.", "e5",
+                             "0x10"};
+  for (const char* text : malformed) {
+    Value v;
+    EXPECT_FALSE(Parse(text, &v)) << text;
+  }
+}
+
+// Differential: Parse (one scanner, DOM outputs on) against the reference
+// recursive-descent parser, on mutated tweets and hand-written documents.
+TEST(Json, ParseMatchesReferenceOnMutatedDocuments) {
+  std::vector<std::string> seeds = {
+      R"({"UserID":"u1","UserID":"u2","n":+12,"m":007})",
+      R"({"User\u0049D":"esc","a\"b":[1,2.5e3,-0,true,false,null]})",
+      R"( { "x" : { "y" : [ { } , [ ] ] } , "s" : "\t\n\/\\" } )",
+      R"([["t1",97],["t2",55,1],["t3",1e2,"x",{}]])",
+  };
+  TweetGenerator gen{TweetGeneratorOptions()};
+  for (int i = 0; i < 4; i++) seeds.push_back(gen.Next().ToJson());
+  Random64 rnd(301);
+  for (int i = 0; i < json_reference::kFuzzCases; i++) {
+    const std::string doc =
+        json_reference::Mutate(seeds[rnd.Uniform(seeds.size())], &rnd);
+    Value got, want;
+    const bool got_ok = Parse(doc, &got);
+    const bool want_ok = json_reference::RefParse(doc, &want);
+    ASSERT_EQ(want_ok, got_ok) << doc;
+    ASSERT_EQ(want.ToString(), got.ToString()) << doc;
+    Scanner scanner(doc);
+    ASSERT_EQ(want_ok, scanner.ParseValue(nullptr) && scanner.AtEnd()) << doc;
+  }
 }
 
 }  // namespace json

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "json_reference.h"
 #include "util/random.h"
 
 namespace leveldbpp {
@@ -31,6 +32,90 @@ TEST(PostingList, ParseRejectsGarbage) {
   EXPECT_FALSE(PostingList::Parse(Slice("{\"a\":1}"), &parsed));
   EXPECT_FALSE(PostingList::Parse(Slice("[[1,2]]"), &parsed));   // Key not str
   EXPECT_FALSE(PostingList::Parse(Slice("[[\"k\"]]"), &parsed)); // No seq
+}
+
+TEST(PostingList, ParseTupleForms) {
+  std::vector<PostingEntry> parsed;
+  // Extra elements are validated and ignored; a non-numeric third element
+  // is no deletion flag; the flag and seq convert double -> int64.
+  ASSERT_TRUE(PostingList::Parse(
+      Slice(R"([["k",5,1,"x",[1,{"a":2}]],["j",4,"1"],["i",1e3,0.5],)"
+            R"(["h",+7,true],["g",007,-1],[ "f" , 2.9 ]])"),
+      &parsed));
+  ASSERT_EQ(6u, parsed.size());
+  EXPECT_EQ(5u, parsed[0].seq);
+  EXPECT_TRUE(parsed[0].deleted);
+  EXPECT_FALSE(parsed[1].deleted);
+  EXPECT_EQ(1000u, parsed[2].seq);
+  EXPECT_FALSE(parsed[2].deleted);
+  EXPECT_EQ(7u, parsed[3].seq);
+  EXPECT_FALSE(parsed[3].deleted);
+  EXPECT_EQ(7u, parsed[4].seq);
+  EXPECT_TRUE(parsed[4].deleted);
+  EXPECT_EQ("f", parsed[5].primary_key);
+  EXPECT_EQ(2u, parsed[5].seq);
+  ASSERT_TRUE(PostingList::Parse(Slice(R"([["a\"bA",9]])"), &parsed));
+  EXPECT_EQ("a\"bA", parsed[0].primary_key);
+
+  EXPECT_FALSE(PostingList::Parse(Slice(R"([["k","5"]])"), &parsed));
+  EXPECT_TRUE(parsed.empty());
+  EXPECT_FALSE(PostingList::Parse(Slice(R"([["k",5],"x"])"), &parsed));
+  EXPECT_FALSE(PostingList::Parse(Slice(R"([["k",5]] ,)"), &parsed));
+  EXPECT_FALSE(PostingList::Parse(Slice(R"([["k",5,1.2.3]])"), &parsed));
+  EXPECT_FALSE(PostingList::Parse(Slice(R"([["k",5]])"
+                                        "\x00", 11),
+                                  &parsed));
+  EXPECT_TRUE(parsed.empty());
+}
+
+TEST(PostingList, MillionDeepNestingIsMalformed) {
+  std::string data = R"([["k",5,)";
+  data.append(1000000, '[');
+  data.append(1000000, ']');
+  data += "]]";
+  std::vector<PostingEntry> parsed;
+  EXPECT_FALSE(PostingList::Parse(Slice(data), &parsed));
+  EXPECT_FALSE(PostingList::Parse(Slice(std::string(1000000, '[')), &parsed));
+}
+
+// Differential: Parse against the DOM-based reference on mutated lists —
+// serialized ones with awkward keys, and hand-written tuples with extra
+// elements, non-numeric seqs and assorted number forms.
+TEST(PostingList, ParseMatchesReferenceOnMutatedLists) {
+  std::vector<std::string> seeds = {
+      R"([["k",5,1,"x",[1,{"a":2}]],["j",4]])",
+      R"([["k","5"],["j",4,"1"]])",
+      R"([["k",1e3],["j",+7],["i",007,0.5],["h",-0,true],["g",2,-1]])",
+      R"([["k",5],"x",[]])",
+      R"( [ [ "k" , 5 ] , [ "a\"b\\cA" , 12345678901234567 ] ] )",
+      "[]",
+  };
+  Random64 rnd(303);
+  for (int i = 0; i < 6; i++) {
+    std::vector<PostingEntry> entries;
+    for (int j = 0; j < 1 + static_cast<int>(rnd.Uniform(6)); j++) {
+      std::string key = "t" + std::to_string(rnd.Uniform(100000));
+      if (rnd.Uniform(3) == 0) key += "\"\\\n\x01";
+      entries.emplace_back(key, rnd.Next() >> (11 + rnd.Uniform(40)),
+                           rnd.Uniform(4) == 0);
+    }
+    seeds.emplace_back();
+    PostingList::Serialize(entries, &seeds.back());
+  }
+  for (int i = 0; i < json_reference::kFuzzCases; i++) {
+    const std::string data =
+        json_reference::Mutate(seeds[rnd.Uniform(seeds.size())], &rnd);
+    std::vector<PostingEntry> want, got;
+    const bool want_ok = json_reference::RefPostingParse(Slice(data), &want);
+    ASSERT_EQ(want_ok, PostingList::Parse(Slice(data), &got)) << data;
+    if (!want_ok) continue;
+    ASSERT_EQ(want.size(), got.size()) << data;
+    for (size_t j = 0; j < want.size(); j++) {
+      ASSERT_EQ(want[j].primary_key, got[j].primary_key) << data;
+      ASSERT_EQ(want[j].seq, got[j].seq) << data;
+      ASSERT_EQ(want[j].deleted, got[j].deleted) << data;
+    }
+  }
 }
 
 TEST(PostingList, EmptyList) {

@@ -73,6 +73,39 @@ TEST_F(SecondaryDBTest, DocumentsWithoutAttributeAreUnindexedButStored) {
   EXPECT_EQ("k2", results[0].primary_key);
 }
 
+// A document nested a million deep is malformed: every path that extracts
+// attributes (PUT, memtable, flush and compaction, LOOKUP) treats it as
+// unindexable instead of recursing off the stack, and GET still returns it.
+TEST_F(SecondaryDBTest, MillionDeepDocumentStoredButNotIndexed) {
+  std::string deep = R"({"CreationTime":"000000000005","UserID":"u1","x":)";
+  deep.append(1000000, '[');
+  deep.append(1000000, ']');
+  deep += "}";
+  for (IndexType type : {IndexType::kNoIndex, IndexType::kEmbedded,
+                         IndexType::kLazy, IndexType::kEager,
+                         IndexType::kComposite}) {
+    SCOPED_TRACE(IndexTypeName(type));
+    auto db = Open(type);
+    ASSERT_TRUE(db->Put("deep", deep).ok());
+    ASSERT_TRUE(db->Put("flat", Doc("u1", 6)).ok());
+    for (int pass = 0; pass < 2; pass++) {  // Memtable, then on disk
+      std::string value;
+      ASSERT_TRUE(db->Get("deep", &value).ok());
+      EXPECT_EQ(deep, value);
+      std::vector<QueryResult> results;
+      ASSERT_TRUE(db->Lookup("UserID", "u1", 0, &results).ok());
+      ASSERT_EQ(1u, results.size());
+      EXPECT_EQ("flat", results[0].primary_key);
+      ASSERT_TRUE(db->RangeLookup("CreationTime", "000000000000",
+                                  "000000000009", 0, &results)
+                      .ok());
+      ASSERT_EQ(1u, results.size());
+      EXPECT_EQ("flat", results[0].primary_key);
+      ASSERT_TRUE(db->CompactAll().ok());
+    }
+  }
+}
+
 TEST_F(SecondaryDBTest, EmbeddedHasNoIndexTables) {
   auto embedded = Open(IndexType::kEmbedded);
   auto lazy = Open(IndexType::kLazy);
