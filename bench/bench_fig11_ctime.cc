@@ -7,10 +7,18 @@
 //   11c: RANGELOOKUP over a longer window (10 minutes) x top-K.
 //
 // Usage: bench_fig11_ctime [--n=60000] [--queries=200] [--include-eager]
+//                          [--json]
+//   --json  one JSON line per (figure, K, variant) cell — p50 latency, and
+//           per query the candidates validated against the primary table
+//           and the GetLite checks — instead of the box-plot tables (for
+//           scripts/bench_snapshot.sh).
 
 #include <unistd.h>
 
+#include <functional>
+
 #include "harness.h"
+#include "util/perf_context.h"
 
 namespace leveldbpp {
 namespace bench {
@@ -20,10 +28,16 @@ void Run(const Flags& flags) {
   const uint64_t n = flags.GetInt("n", 60000);
   const uint64_t queries = flags.GetInt("queries", 200);
   const bool include_eager = flags.GetBool("include-eager", true);
+  const bool json = flags.GetBool("json", false);
   const std::string root = ScratchRoot();
+  // Progress lines go to stderr in JSON mode so stdout stays JSON lines.
+  FILE* out = json ? stderr : stdout;
 
-  PrintHeader("Figure 11 — CreationTime (time-correlated) query latency");
-  printf("n=%" PRIu64 " tweets, %" PRIu64 " queries per cell\n", n, queries);
+  if (!json) {
+    PrintHeader("Figure 11 — CreationTime (time-correlated) query latency");
+  }
+  fprintf(out, "n=%" PRIu64 " tweets, %" PRIu64 " queries per cell\n", n,
+          queries);
 
   // The paper includes Eager in Figure 11 (it builds acceptably on a
   // time-correlated attribute).
@@ -32,7 +46,7 @@ void Run(const Flags& flags) {
 
   std::vector<std::unique_ptr<SecondaryDB>> dbs;
   for (IndexType type : variants) {
-    printf("[build] %s...\n", Name(type));
+    fprintf(out, "[build] %s...\n", Name(type));
     VariantConfig config;
     config.type = type;
     auto db = OpenVariant(config, root + "/" + Name(type));
@@ -53,47 +67,75 @@ void Run(const Flags& flags) {
     return k == 0 ? std::string("NoLimit") : "K=" + std::to_string(k);
   };
 
-  printf("\nFig 11a — LOOKUP(CreationTime) latency\n");
-  for (size_t k : topks) {
-    printf(" top-%s\n", TopkName(k).c_str());
-    for (size_t v = 0; v < variants.size(); v++) {
-      WorkloadGenerator qgen(TweetGeneratorOptions{}, 13);
-      for (uint64_t i = 0; i < n; i++) qgen.NextPut();
-      Histogram hist;
-      std::vector<QueryResult> scratch;
-      for (uint64_t q = 0; q < queries; q++) {
-        Operation op = qgen.NextTimeLookup(k);
-        Timer t;
-        CheckOk(Apply(dbs[v].get(), op, &scratch), "lookup");
-        hist.Add(static_cast<double>(t.ElapsedMicros()));
-      }
+  // One (figure, K, variant) cell: `nq` queries from a generator replayed
+  // past the load, each timed and — in JSON mode only, so the box-plot
+  // tables time the query without counters, as before — costed with a
+  // fresh PerfContext.
+  if (json) EnablePerfContext();
+  PerfContext* perf = GetPerfContext();
+  auto run_cell = [&](const char* figure, size_t k, size_t v, uint64_t nq,
+                      const std::function<Operation(WorkloadGenerator*)>&
+                          next_op) {
+    WorkloadGenerator qgen(TweetGeneratorOptions{}, 13);
+    for (uint64_t i = 0; i < n; i++) qgen.NextPut();
+    Histogram hist;
+    uint64_t validated = 0, getlite = 0;
+    std::vector<QueryResult> scratch;
+    for (uint64_t q = 0; q < nq; q++) {
+      Operation op = next_op(&qgen);
+      perf->Reset();
+      Timer t;
+      CheckOk(Apply(dbs[v].get(), op, &scratch), "query");
+      hist.Add(static_cast<double>(t.ElapsedMicros()));
+      validated += perf->candidates_validated;
+      getlite += perf->TickerValue(kGetLiteCalls);
+    }
+    if (!json) {
       PrintBoxPlotRow(Name(variants[v]), hist);
+      return;
+    }
+    JsonLine("fig11")
+        .Str("figure", figure)
+        .Int("k", k)
+        .Str("variant", Name(variants[v]))
+        .Int("n", n)
+        .Int("queries", nq)
+        .Double("p50_us", hist.Median())
+        .Double("candidates_validated", static_cast<double>(validated) / nq)
+        .Double("getlite_calls", static_cast<double>(getlite) / nq)
+        .Emit();
+  };
+
+  fprintf(out, "\nFig 11a — LOOKUP(CreationTime) latency\n");
+  for (size_t k : topks) {
+    fprintf(out, " top-%s\n", TopkName(k).c_str());
+    for (size_t v = 0; v < variants.size(); v++) {
+      run_cell("11a", k, v, queries, [k](WorkloadGenerator* g) {
+        return g->NextTimeLookup(k);
+      });
     }
   }
 
   for (uint64_t minutes : {1ull, 10ull}) {
-    printf("\nFig 11%c — RANGELOOKUP(CreationTime), selectivity = %" PRIu64
-           " minute(s)\n",
-           minutes == 1 ? 'b' : 'c', minutes);
+    fprintf(out,
+            "\nFig 11%c — RANGELOOKUP(CreationTime), selectivity = %" PRIu64
+            " minute(s)\n",
+            minutes == 1 ? 'b' : 'c', minutes);
     for (size_t k : topks) {
-      printf(" top-%s\n", TopkName(k).c_str());
+      fprintf(out, " top-%s\n", TopkName(k).c_str());
       for (size_t v = 0; v < variants.size(); v++) {
-        WorkloadGenerator qgen(TweetGeneratorOptions{}, 13);
-        for (uint64_t i = 0; i < n; i++) qgen.NextPut();
-        Histogram hist;
-        std::vector<QueryResult> scratch;
-        uint64_t nq = std::max<uint64_t>(queries / 4, 10);
-        for (uint64_t q = 0; q < nq; q++) {
-          Operation op = qgen.NextTimeRangeLookup(minutes, k);
-          Timer t;
-          CheckOk(Apply(dbs[v].get(), op, &scratch), "rangelookup");
-          hist.Add(static_cast<double>(t.ElapsedMicros()));
-        }
-        PrintBoxPlotRow(Name(variants[v]), hist);
+        run_cell(minutes == 1 ? "11b" : "11c", k, v,
+                 std::max<uint64_t>(queries / 4, 10),
+                 [minutes, k](WorkloadGenerator* g) {
+                   return g->NextTimeRangeLookup(minutes, k);
+                 });
       }
     }
   }
-
+  if (json) {
+    DisablePerfContext();
+    return;
+  }
   printf("\nExpected shapes (paper): Embedded competitive for LOOKUP and "
          "best for\nRANGELOOKUP at every selectivity (zone maps prune almost "
          "everything on a\ntime-correlated attribute; cost approaches K+e "

@@ -53,6 +53,10 @@
 #     Also the per-record kernels: UserID extraction from a TweetGenerator
 #     document (every LOOKUP's attribute check) and decoding a 910-entry
 #     posting list (every Lazy/Eager/Composite LOOKUP and Lazy merge).
+#   * bench_fig11_ctime --json — the paper's Figure 11 LOOKUP and
+#     RANGELOOKUP cells on the time-correlated CreationTime index, one row
+#     per (figure, K, variant): p50 latency, and per query the candidates
+#     validated against the primary table and the Embedded GetLite checks.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -116,6 +120,9 @@ echo "==> range scans (heap-merge vs sorted view, selectivity sweep)"
 
 echo "==> joins (index-nested-loop, join-value cardinality sweep)"
 "${bin}/bench/bench_join" --n=4000 --reps=3 >> "${tmp}"
+
+echo "==> fig11 CreationTime LOOKUP / RANGELOOKUP cells"
+"${bin}/bench/bench_fig11_ctime" --json >> "${tmp}"
 
 echo "==> kernels (crc32c, SimpleLZ, JSON extract, posting-list parse)"
 "${bin}/bench/bench_micro_substrate" \

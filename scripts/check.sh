@@ -19,8 +19,10 @@ cd "$(dirname "$0")/.."
 # decoder's over-wide copies, whose bounds ASan checks on exact buffers. And
 # the JSON scanner's suites (Json*, JsonAttributeExtractor*, PostingList*):
 # it walks raw pointers over stored bytes, fuzzed by their differential
-# tests.
-SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList"
+# tests. And the newest-first admission tests (*NewestFirst*): the Embedded
+# scan holds records as slices into blocks its pool tasks decoded until the
+# calling thread admits them.
+SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList|NewestFirst"
 if [[ "${1:-}" == "--sanitize-all" || "${1:-}" == "--tsan-all" ]]; then
   SAN_FILTER=""
 fi

@@ -58,6 +58,21 @@ Status CandidateSink::Offer(const Slice& primary_key,
   return pending_.size() >= chunk_ ? Flush() : Status::OK();
 }
 
+Status CandidateSink::OfferNewestFirst(
+    std::vector<PostingCandidate>* candidates) {
+  std::sort(candidates->begin(), candidates->end(),
+            [](const PostingCandidate& a, const PostingCandidate& b) {
+              if (a.seq != b.seq) return a.seq > b.seq;
+              return a.primary_key < b.primary_key;
+            });
+  for (const PostingCandidate& c : *candidates) {
+    if (!WouldAdmit(c.seq)) break;
+    Status s = Offer(Slice(c.primary_key), c.seq);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
 Status CandidateSink::Flush() {
   const size_t n = pending_.size();
   if (n == 0) return Status::OK();

@@ -1,7 +1,9 @@
 // CandidateSink: the one candidate-validation loop behind every posting-list
 // query — Eager / Lazy / Composite LOOKUP and RANGELOOKUP (paper Sections
-// 4.1.1, 4.1.2, 4.2) and SecondaryDB::LookupAnd. The caller enumerates
-// postings newest-stored-first, applies its own stop rule through
+// 4.1.1, 4.1.2, 4.2) and SecondaryDB::LookupAnd. Eager RANGELOOKUP,
+// Composite and LookupAnd hand the sink a gathered batch
+// (OfferNewestFirst), which owns the newest-first order and its stop rule;
+// Lazy enumerates postings itself, applies its own stop rule through
 // WouldAdmit / Full / stale_admitted, and Offers each surviving
 // (primary key, stored seq). The sink owns everything after that:
 //
@@ -68,6 +70,12 @@ class CandidateSink {
   /// ignored. Resolves the pending chunk once it is full (immediately when
   /// read_parallelism <= 1).
   Status Offer(const Slice& primary_key, SequenceNumber stored_seq);
+
+  /// Offer a whole batch newest-stored-first: sorts `candidates` by stored
+  /// seq descending (ties by primary key ascending) and offers them until
+  /// the first one WouldAdmit rejects. Sound because a candidate validates
+  /// at or below its stored seq, so no later one could enter the heap.
+  Status OfferNewestFirst(std::vector<PostingCandidate>* candidates);
 
   /// Resolve every pending candidate now. Callers whose stop rule needs an
   /// exact heap (Lazy's level boundary) flush before consulting it.

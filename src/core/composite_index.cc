@@ -106,16 +106,12 @@ Status CompositeIndex::RangeLookup(const Slice& lo, const Slice& hi,
   // There is no early-termination opportunity because entries arrive
   // ordered by key, not time (Section 4.2), so ALL candidates are gathered
   // (cheap: index blocks only, no data-table access).
-  struct Candidate {
-    uint64_t seq;
-    std::string primary_key;
-  };
-  std::vector<Candidate> candidates;
-  Status scan_status = ScanPostings(
+  std::vector<PostingCandidate> candidates;
+  Status s = ScanPostings(
       lo, hi, [&](const Slice& primary_key, uint64_t seq) {
-        candidates.push_back({seq, primary_key.ToString()});
+        candidates.push_back({primary_key.ToString(), seq});
       });
-  if (!scan_status.ok()) return scan_status;
+  if (!s.ok()) return s;
   // One composite row is the analogue of one posting entry. Counted after
   // the (always sequential) phase-1 scan, so the value is identical at
   // every read_parallelism setting.
@@ -124,22 +120,9 @@ Status CompositeIndex::RangeLookup(const Slice& lo, const Slice& hi,
   // Phase 2 — validate newest-first: the stored sequence numbers order the
   // candidates by recency, so top-K completes after ~K data-table GETs
   // (plus skips over stale entries), instead of one GET per candidate.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.seq != b.seq) return a.seq > b.seq;
-              return a.primary_key < b.primary_key;
-            });
   CandidateSink sink(primary_, k, attribute_, lo, hi);
-  for (const Candidate& c : candidates) {
-    // Stop on the STORED seq bound, not on a full heap: a crash-stale entry
-    // (index written ahead of a primary put that never committed) can
-    // validate at a lower primary seq than it stored, so a full heap may
-    // still be displaced by later candidates — but never by one whose
-    // stored seq is at or below the heap floor.
-    if (!sink.WouldAdmit(c.seq)) break;  // Candidates are seq-descending
-    Status s = sink.Offer(Slice(c.primary_key), c.seq);
-    if (!s.ok()) return s;
-  }
+  s = sink.OfferNewestFirst(&candidates);
+  if (!s.ok()) return s;
   return sink.Finish(results);
 }
 

@@ -137,22 +137,25 @@ Status EagerIndex::Lookup(const Slice& value, size_t k,
 Status EagerIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
                                std::vector<QueryResult>* results) {
   results->clear();
-  // Range scan over the index table's (secondary) keys; merge the K-newest
-  // across all matching lists with the min-heap.
-  CandidateSink sink(primary_, k, attribute_, lo, hi);
+  // Range scan over the index table's (secondary) keys. Each list is
+  // seq-descending, but the lists interleave in time, so every in-range
+  // list's live entries are gathered first and validated as one
+  // newest-first batch: the heap floor then rises past the whole window's
+  // older entries instead of restarting at each list.
+  std::vector<PostingCandidate> candidates;
   std::unique_ptr<Iterator> it(index_db_->NewIterator(ReadOptions()));
   for (it->Seek(lo); it->Valid() && it->key().compare(hi) <= 0; it->Next()) {
     std::vector<PostingEntry> entries;
     if (!PostingList::Parse(it->value(), &entries)) continue;
     PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
-    for (const PostingEntry& e : entries) {
-      if (e.deleted) continue;
-      if (!sink.WouldAdmit(e.seq)) break;  // List is seq-descending
-      Status s = sink.Offer(Slice(e.primary_key), e.seq);
-      if (!s.ok()) return s;
+    for (PostingEntry& e : entries) {
+      if (!e.deleted) candidates.push_back({std::move(e.primary_key), e.seq});
     }
   }
   if (!it->status().ok()) return it->status();
+  CandidateSink sink(primary_, k, attribute_, lo, hi);
+  Status s = sink.OfferNewestFirst(&candidates);
+  if (!s.ok()) return s;
   return sink.Finish(results);
 }
 

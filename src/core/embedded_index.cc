@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "core/document.h"
 #include "env/thread_pool.h"
@@ -38,6 +39,65 @@ Status SupersededWithinTable(Table* table, size_t block,
   *superseded = probe.seq > ikey.sequence;
   return Status::OK();
 }
+
+// The most decoded blocks a top-K scan holds for one newest-first
+// admission batch (~0.5 MB at the default 4 KB block size). A bucket with
+// more candidate blocks — a range on an attribute that does not follow
+// time — is admitted in several batches, so the memory a query holds does
+// not grow with the database.
+constexpr size_t kMaxHeldBlocks = 128;
+
+// Scan entries awaiting admission. Records stay slices into the decoded
+// blocks, which `blocks` holds open (memtable records point into the
+// pinned memtables); keys are copied into `keys`, since a block iterator
+// rebuilds its key() for every entry.
+struct ScanBatch {
+  struct Entry {
+    size_t key_offset;
+    size_t key_size;
+    SequenceNumber seq;
+    Slice record;
+    int level;
+    uint64_t file;
+  };
+
+  void Add(const Slice& user_key, SequenceNumber seq, const Slice& record,
+           int level, uint64_t file) {
+    entries.push_back(
+        Entry{keys.size(), user_key.size(), seq, record, level, file});
+    keys.append(user_key.data(), user_key.size());
+  }
+
+  Slice Key(const Entry& e) const {
+    return Slice(keys.data() + e.key_offset, e.key_size);
+  }
+
+  void Append(ScanBatch&& other) {
+    if (entries.empty() && blocks.empty()) {
+      *this = std::move(other);
+      return;
+    }
+    const size_t base = keys.size();
+    keys.append(other.keys);
+    for (Entry& e : other.entries) {
+      e.key_offset += base;
+      entries.push_back(e);
+    }
+    for (std::unique_ptr<Iterator>& b : other.blocks) {
+      blocks.push_back(std::move(b));
+    }
+  }
+
+  void Clear() {
+    keys.clear();
+    entries.clear();
+    blocks.clear();
+  }
+
+  std::string keys;
+  std::vector<Entry> entries;
+  std::vector<std::unique_ptr<Iterator>> blocks;
+};
 
 }  // namespace
 
@@ -84,19 +144,23 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
   // SAME (key, seq) from overlapping sources.
   std::set<std::pair<std::string, SequenceNumber>> admitted;
 
-  // Would the heap take this record? In-range, passes the filter, not yet
-  // admitted, and — the paper's GetLite — still the newest version of its
-  // key: only residences NEWER than the record's own are probed, via
-  // in-memory metadata; confirm reads happen only on bloom false
-  // positives. Reads only state that is frozen while block tasks run.
+  // Does the record itself match? In-range and passes the filter.
+  auto matches = [&](const Slice& record, std::string* attr_scratch) {
+    if (!extractor->Extract(record, attribute_, attr_scratch)) return false;
+    Slice av(*attr_scratch);
+    if (av.compare(lo) < 0 || av.compare(hi) > 0) return false;
+    return filter == nullptr || (*filter)(record);
+  };
+  // Would the heap take this record? It matches, is not yet admitted, and —
+  // the paper's GetLite — is still the newest version of its key: only
+  // residences NEWER than the record's own are probed, via in-memory
+  // metadata; confirm reads happen only on bloom false positives. Reads
+  // only state that is frozen while pool tasks run.
   auto qualifies = [&](const Slice& user_key, SequenceNumber seq,
                        const Slice& record, int level, uint64_t file,
                        std::string* attr_scratch, Status* s) {
     if (!heap.WouldAdmit(seq)) return false;
-    if (!extractor->Extract(record, attribute_, attr_scratch)) return false;
-    Slice av(*attr_scratch);
-    if (av.compare(lo) < 0 || av.compare(hi) > 0) return false;
-    if (filter != nullptr && !(*filter)(record)) return false;
+    if (!matches(record, attr_scratch)) return false;
     if (admitted.count(std::make_pair(user_key.ToString(), seq)) != 0) {
       return false;
     }
@@ -104,141 +168,163 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
     *s = primary_->IsNewestVersion(view, user_key, seq, &newest, level, file);
     return s->ok() && newest;
   };
-  auto admit = [&](std::string user_key, SequenceNumber seq,
-                   std::string record) {
+  auto admit = [&](const Slice& user_key, SequenceNumber seq,
+                   const Slice& record) {
     if (!heap.WouldAdmit(seq)) return;
-    auto id = std::make_pair(std::move(user_key), seq);
+    auto id = std::make_pair(user_key.ToString(), seq);
     if (admitted.count(id) != 0) return;
     QueryResult r;
     r.primary_key = id.first;
     r.seq = seq;
-    r.value = std::move(record);
+    r.value = record.ToString();
     if (heap.Add(std::move(r))) admitted.insert(std::move(id));
   };
-  // The sequential admission: test and admit each record as it comes.
-  std::string attr_scratch;
-  auto consider = [&](const Slice& user_key, SequenceNumber seq,
-                      const Slice& record, int level, uint64_t file) {
+
+  // Holds a found entry in `out` for admission, testing it where it is
+  // found (on the read pool in parallel) as far as the heap allows. A record
+  // older than the heap floor as of the last admission is dropped at once.
+  // At K = 0 there is no floor, so only a qualifying record is held. With
+  // K > 0 GetLite waits for the newest-first admission below; a parallel
+  // scan still drops non-matching records on the pool, while a sequential
+  // one defers the whole test so it extracts only records that can still
+  // reach the heap.
+  auto hold = [&](ScanBatch* out, const Slice& user_key, SequenceNumber seq,
+                  const Slice& record, int level, uint64_t file,
+                  std::string* attr_scratch) {
     Status s;
-    if (qualifies(user_key, seq, record, level, file, &attr_scratch, &s)) {
-      admit(user_key.ToString(), seq, record.ToString());
-    }
-    if (error.ok()) error = s;
+    const bool keep =
+        heap.WouldAdmit(seq) &&
+        (k == 0
+             ? qualifies(user_key, seq, record, level, file, attr_scratch, &s)
+             : parallelism <= 1 || matches(record, attr_scratch));
+    if (keep) out->Add(user_key, seq, record, level, file);
+    return s;
   };
 
-  // The one block-decode loop: hands every entry of a candidate block that
-  // can be its key's live version to `emit` and returns the first read
-  // error (the block's own checksum failure only in paranoid mode). Pure
-  // over the pinned, immutable tables, so the parallel path runs it on any
-  // thread.
-  auto scan_block =
-      [&](const DBImpl::BlockCandidate& c,
-          const std::function<void(const ParsedInternalKey&, const Slice&)>&
-              emit) {
-        if (!block_may_pass_residual(c.table, c.block)) return Status::OK();
-        std::unique_ptr<Iterator> it(
-            c.table->NewDataBlockIterator(read_options, c.block));
-        std::string prev_key;  // In-block adjacency dedup
-        bool first_entry = true;
-        Status s;
-        for (it->SeekToFirst(); it->Valid() && s.ok(); it->Next()) {
-          ParsedInternalKey ikey;
-          if (!ParseInternalKey(it->key(), &ikey)) continue;
-          // Counted before any pruning, so the value depends only on the
-          // candidate blocks (identical at every read_parallelism).
-          PerfCounterAdd(&PerfContext::candidate_records_scanned, 1);
-          // Versions of one user key sort adjacent, newest first; only the
-          // first can be the live version.
-          if (!prev_key.empty() && Slice(prev_key) == ikey.user_key) {
-            first_entry = false;
-            continue;
-          }
-          prev_key.assign(ikey.user_key.data(), ikey.user_key.size());
-          const bool was_first = first_entry;
-          first_entry = false;
-          if (ikey.type != kTypeValue) continue;
-          bool superseded = false;
-          if (was_first && c.block > 0) {
-            s = SupersededWithinTable(c.table, c.block, read_options,
-                                      paranoid, ikey, &superseded);
-          }
-          if (s.ok() && !superseded) emit(ikey, it->value());
-        }
-        if (s.ok() && paranoid) s = it->status();
-        return s;
-      };
+  // The one block-decode loop: holds every entry of a candidate block that
+  // can be its key's live version in `out` (keeping the block open) and
+  // returns the first read error (the block's own checksum failure only in
+  // paranoid mode). Pure over the pinned, immutable tables, so it runs on
+  // any thread.
+  auto scan_block = [&](const DBImpl::BlockCandidate& c, ScanBatch* out,
+                        std::string* attr_scratch) {
+    if (!block_may_pass_residual(c.table, c.block)) return Status::OK();
+    std::unique_ptr<Iterator> it(
+        c.table->NewDataBlockIterator(read_options, c.block));
+    const size_t before = out->entries.size();
+    std::string prev_key;  // In-block adjacency dedup
+    bool first_entry = true;
+    Status s;
+    for (it->SeekToFirst(); it->Valid() && s.ok(); it->Next()) {
+      ParsedInternalKey ikey;
+      if (!ParseInternalKey(it->key(), &ikey)) continue;
+      // Counted before any pruning, so the value depends only on the
+      // candidate blocks (identical at every read_parallelism).
+      PerfCounterAdd(&PerfContext::candidate_records_scanned, 1);
+      // Versions of one user key sort adjacent, newest first; only the
+      // first can be the live version.
+      if (!prev_key.empty() && Slice(prev_key) == ikey.user_key) {
+        first_entry = false;
+        continue;
+      }
+      prev_key.assign(ikey.user_key.data(), ikey.user_key.size());
+      const bool was_first = first_entry;
+      first_entry = false;
+      if (ikey.type != kTypeValue) continue;
+      bool superseded = false;
+      if (was_first && c.block > 0) {
+        s = SupersededWithinTable(c.table, c.block, read_options, paranoid,
+                                  ikey, &superseded);
+      }
+      if (s.ok() && !superseded) {
+        s = hold(out, ikey.user_key, ikey.sequence, it->value(), c.level,
+                 c.file, attr_scratch);
+      }
+    }
+    if (s.ok() && paranoid) s = it->status();
+    if (out->entries.size() > before) out->blocks.push_back(std::move(it));
+    return s;
+  };
 
-  // Memtable data first, then disk levels newest first; candidate blocks
-  // are chosen by the embedded per-block bloom filters (point lookups) and
-  // zone maps.
-  auto visit_bucket = [&](const std::vector<DBImpl::BlockCandidate>& cands) {
-    if (parallelism <= 1) {
-      for (const DBImpl::BlockCandidate& c : cands) {
-        Status bs = scan_block(c, [&](const ParsedInternalKey& ikey,
-                                      const Slice& record) {
-          consider(ikey.user_key, ikey.sequence, record, c.level, c.file);
-        });
-        if (error.ok()) error = bs;
+  // Entries awaiting admission: the memtable pass's records, then one batch
+  // of decoded blocks at a time. With read_parallelism > 1 a batch's blocks
+  // are decoded by coarse pool tasks (a contiguous run of blocks each, so
+  // the dispatch overhead amortizes over several block reads).
+  ScanBatch pending;
+  std::string attr_scratch;
+  auto decode = [&](const std::vector<DBImpl::BlockCandidate>& cands,
+                    size_t begin, size_t end) {
+    const size_t ntasks = std::min(
+        end - begin,
+        parallelism <= 1 ? size_t{1} : static_cast<size_t>(parallelism) * 2);
+    if (ntasks <= 1) {
+      for (size_t i = begin; i < end && error.ok(); i++) {
+        error = scan_block(cands[i], &pending, &attr_scratch);
       }
       return;
     }
-    // Parallel path: the bucket's blocks are decoded and their entries
-    // tested concurrently, then the stateful admission (WouldAdmit,
-    // admitted-set dedup, heap Add) is replayed on this thread in the exact
-    // (file, block, entry) order of the sequential path, making the final
-    // heap byte-identical. The bucket goes in WAVES of a few blocks per
-    // executor: the replay runs between waves, so the heap the tasks
-    // consult for pruning is at most one wave stale (one ParallelRun over
-    // the whole bucket would see an empty heap and extract/validate every
-    // in-range entry the sequential scan prunes).
-    struct Match {
-      std::string user_key;
-      SequenceNumber seq;
-      std::string record;
-    };
-    const size_t wave_size = static_cast<size_t>(parallelism) * 4;
-    for (size_t wave = 0; wave < cands.size(); wave += wave_size) {
-      const size_t wave_end = std::min(cands.size(), wave + wave_size);
-      std::vector<std::vector<Match>> block_matches(wave_end - wave);
-      std::vector<Status> block_status(wave_end - wave);
-      // Coarse tasks (a contiguous run of blocks each) so the pool dispatch
-      // overhead amortizes over several block reads.
-      const size_t ntasks =
-          std::min(wave_end - wave, static_cast<size_t>(parallelism) * 2);
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(ntasks);
-      for (size_t t = 0; t < ntasks; t++) {
-        const size_t begin = wave + (wave_end - wave) * t / ntasks;
-        const size_t end = wave + (wave_end - wave) * (t + 1) / ntasks;
-        tasks.push_back([&, wave, begin, end]() {
-          std::string scratch;
-          for (size_t ci = begin; ci < end; ci++) {
-            const DBImpl::BlockCandidate& c = cands[ci];
-            Status* bs = &block_status[ci - wave];
-            Status decode = scan_block(c, [&](const ParsedInternalKey& ikey,
-                                              const Slice& record) {
-              Status s;
-              if (qualifies(ikey.user_key, ikey.sequence, record, c.level,
-                            c.file, &scratch, &s)) {
-                block_matches[ci - wave].push_back(
-                    Match{ikey.user_key.ToString(), ikey.sequence,
-                          record.ToString()});
-              }
-              if (bs->ok()) *bs = s;
-            });
-            if (bs->ok()) *bs = decode;
-          }
-        });
-      }
-      ParallelRun(&tasks, parallelism, primary_->statistics());
-      for (const Status& bs : block_status) {
-        if (error.ok()) error = bs;
-      }
-      for (std::vector<Match>& matches : block_matches) {
-        for (Match& m : matches) {
-          admit(std::move(m.user_key), m.seq, std::move(m.record));
+    std::vector<ScanBatch> parts(ntasks);
+    std::vector<Status> status(ntasks);
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(ntasks);
+    for (size_t t = 0; t < ntasks; t++) {
+      tasks.push_back([&, t]() {
+        const size_t n = end - begin;
+        std::string scratch;
+        for (size_t i = begin + n * t / ntasks;
+             i < begin + n * (t + 1) / ntasks && status[t].ok(); i++) {
+          status[t] = scan_block(cands[i], &parts[t], &scratch);
         }
+      });
+    }
+    ParallelRun(&tasks, parallelism, primary_->statistics());
+    for (size_t t = 0; t < ntasks; t++) {
+      if (error.ok()) error = status[t];
+      pending.Append(std::move(parts[t]));
+    }
+  };
+
+  // The admission, always on this thread. With K > 0 the batch goes
+  // newest-first (seq descending, ties by key) and each entry is tested
+  // against the live heap, so the heap fills from the newest matches and the
+  // first entry it would reject ends the batch — every later one is older.
+  // At K = 0 the held entries already qualify and keep their decode order.
+  // The heap ends holding the K newest qualifying records whatever the batch
+  // boundaries, so results are byte-identical at every read_parallelism.
+  auto drain = [&]() {
+    std::vector<ScanBatch::Entry>& entries = pending.entries;
+    if (k != 0) {
+      std::sort(entries.begin(), entries.end(),
+                [&](const ScanBatch::Entry& a, const ScanBatch::Entry& b) {
+                  if (a.seq != b.seq) return a.seq > b.seq;
+                  return pending.Key(a).compare(pending.Key(b)) < 0;
+                });
+    }
+    for (const ScanBatch::Entry& en : entries) {
+      if (!error.ok() || !heap.WouldAdmit(en.seq)) break;
+      const Slice user_key = pending.Key(en);
+      if (k == 0 || qualifies(user_key, en.seq, en.record, en.level, en.file,
+                              &attr_scratch, &error)) {
+        admit(user_key, en.seq, en.record);
       }
+    }
+    pending.Clear();
+  };
+
+  // Memtable data first, then disk levels newest first; candidate blocks
+  // are chosen by the embedded per-block bloom filters (point lookups) and
+  // zone maps. Every candidate block of a visited bucket is read. With
+  // K > 0 a bucket is admitted in newest-first batches of up to
+  // kMaxHeldBlocks blocks (a time-correlated bucket fits in one); at K = 0
+  // each block (each wave of a few blocks per executor in parallel) is
+  // admitted as soon as it decodes.
+  auto visit_bucket = [&](const std::vector<DBImpl::BlockCandidate>& cands) {
+    const size_t batch =
+        k != 0 ? kMaxHeldBlocks
+               : (parallelism <= 1 ? 1 : static_cast<size_t>(parallelism) * 4);
+    for (size_t b = 0; b < cands.size() && error.ok(); b += batch) {
+      decode(cands, b, std::min(cands.size(), b + batch));
+      drain();
     }
   };
 
@@ -246,10 +332,14 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
       view, attribute_, lo, hi,
       [&](const Slice& user_key, SequenceNumber seq, const Slice& record) {
         PerfCounterAdd(&PerfContext::candidate_records_scanned, 1);
-        consider(user_key, seq, record, /*level=*/-1, /*file=*/0);
+        if (error.ok()) {
+          error = hold(&pending, user_key, seq, record, /*level=*/-1,
+                       /*file=*/0, &attr_scratch);
+        }
       },
       visit_bucket,
       [&](SequenceNumber remaining_max) {
+        drain();  // The memtable pass's records, before the first bucket
         // Level boundary: records within a level are not time-ordered, so
         // termination is only checked here (Algorithm 5) — and only once no
         // unscanned file can hold a record newer than the heap's oldest
@@ -259,6 +349,7 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
         // before the first bucket.
         return error.ok() && (!heap.Full() || heap.WouldAdmit(remaining_max));
       });
+  drain();  // Memtable records when no disk bucket was visited
   if (!s.ok()) return s;
   if (!error.ok()) return error;
   *results = heap.TakeSortedNewestFirst();

@@ -7,8 +7,12 @@
 // LOOKUP scans level by level: in-memory filters decide which blocks could
 // contain matches, only those blocks are read, and each match is validity-
 // checked with GetLite (metadata-only supersession check). Because records
-// within a level are ordered by primary key — not time — a level must be
-// drained before top-K can terminate (Algorithm 5).
+// within a level are ordered by primary key — not time — every candidate
+// block of a level must be read before top-K can terminate (Algorithm 5).
+// With K > 0 the level's records are then admitted newest-first (in
+// batches of at most 128 decoded blocks, so a query's memory stays bounded),
+// and only those that can still reach the heap are extracted and
+// GetLite-checked.
 //
 // RANGELOOKUP uses zone maps alone (blooms cannot answer ranges); on
 // non-time-correlated attributes this degrades toward a full scan, exactly

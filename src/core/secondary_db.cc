@@ -387,17 +387,9 @@ Status SecondaryDB::LookupAnd(const std::string& attr1, const Slice& value1,
   // was written at its current seq in BOTH indexes, so every plan's
   // survivor entry for it stores a seq >= the seq it validates at — once
   // the next stored seq cannot displace the heap, no later survivor can.
-  std::sort(survivors.begin(), survivors.end(),
-            [](const PostingCandidate& a, const PostingCandidate& b) {
-              if (a.seq != b.seq) return a.seq > b.seq;
-              return a.primary_key < b.primary_key;
-            });
   CandidateSink sink(primary_.get(), k, matches);
-  for (const PostingCandidate& c : survivors) {
-    if (!sink.WouldAdmit(c.seq)) break;
-    s = sink.Offer(Slice(c.primary_key), c.seq);
-    if (!s.ok()) return s;
-  }
+  s = sink.OfferNewestFirst(&survivors);
+  if (!s.ok()) return s;
   s = sink.Finish(results);
   if (!s.ok()) return s;
   primary_statistics()->RecordHistogram(kHistLookupAndMicros,

@@ -12,15 +12,28 @@
 #include "core/standalone_index.h"
 #include "db/db_impl.h"
 #include "env/env.h"
+#include "util/perf_context.h"
 
 namespace leveldbpp {
 namespace {
 
-std::string Doc(const std::string& user, int ts = 0) {
+std::string Ctime(int ts) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%012d", ts);
-  return "{\"CreationTime\":\"" + std::string(buf) + "\",\"UserID\":\"" +
-         user + "\"}";
+  return buf;
+}
+
+std::string Doc(const std::string& user, int ts = 0) {
+  return "{\"CreationTime\":\"" + Ctime(ts) + "\",\"UserID\":\"" + user +
+         "\"}";
+}
+
+// Record i of the newest-first tests: CreationTime i, written in time
+// order, keyed either in time order or against it.
+std::string TimeKey(int i, bool keys_follow_time) {
+  char key[16];
+  std::snprintf(key, sizeof(key), "t%04d", keys_follow_time ? i : 399 - i);
+  return key;
 }
 
 class VariantTest : public testing::Test {
@@ -40,6 +53,83 @@ class VariantTest : public testing::Test {
         SecondaryDB::Open(options, "/vt_" + std::to_string(n_++), &db);
     EXPECT_TRUE(s.ok()) << s.ToString();
     return db;
+  }
+
+  // A store indexed on the time-correlated CreationTime only, with 1 KB
+  // blocks so a range spans several candidate blocks.
+  std::unique_ptr<SecondaryDB> OpenTimeIndexed(IndexType type,
+                                               int read_parallelism) {
+    SecondaryDBOptions options;
+    options.base.env = env_.get();
+    options.base.write_buffer_size = 64 << 10;
+    options.base.block_size = 1024;
+    options.base.read_parallelism = read_parallelism;
+    options.index_type = type;
+    options.indexed_attributes = {"CreationTime"};
+    std::unique_ptr<SecondaryDB> db;
+    Status s =
+        SecondaryDB::Open(options, "/vt_" + std::to_string(n_++), &db);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return db;
+  }
+
+  // A top-K Embedded RANGELOOKUP admits a bucket's records newest-first, so
+  // the heap fills from the K newest in-range records and the rest of the
+  // bucket is never extracted or GetLite-checked. The order comes from the
+  // sequence numbers, not the key order. The I/O is Algorithm 5's: every
+  // candidate block of the bucket is still read, once.
+  void CheckEmbeddedRangeAdmitsNewestFirst(bool keys_follow_time) {
+    const size_t k = 5;
+    for (int parallelism : {0, 4}) {
+      SCOPED_TRACE("read_parallelism " + std::to_string(parallelism));
+      auto db = OpenTimeIndexed(IndexType::kEmbedded, parallelism);
+      for (int i = 0; i < 400; i++) {
+        ASSERT_TRUE(
+            db->Put(TimeKey(i, keys_follow_time), Doc("u1", i)).ok());
+      }
+      ASSERT_TRUE(db->CompactAll().ok());
+
+      // Candidate blocks of [100, 299], from the metadata the scan consults
+      // (this also opens every table, so the reads counted below are data
+      // blocks only). One bucket, so the K=5 scan visits all of them.
+      size_t candidates = 0, buckets = 0;
+      DBImpl* primary = db->primary();
+      {
+        DBImpl::ReadView view(primary, ReadOptions());
+        ASSERT_TRUE(primary
+                        ->EmbeddedScanBuckets(
+                            view, "CreationTime", Ctime(100), Ctime(299),
+                            [](const Slice&, SequenceNumber, const Slice&) {},
+                            [&](const std::vector<DBImpl::BlockCandidate>& c) {
+                              candidates += c.size();
+                              buckets++;
+                            },
+                            [](SequenceNumber) { return true; })
+                        .ok());
+      }
+      ASSERT_EQ(1u, buckets);
+      ASSERT_GT(candidates, 2u);
+
+      Statistics* stats = db->primary_statistics();
+      const uint64_t reads_before = stats->Get(kBlockRead);
+      const uint64_t getlite_before = stats->Get(kGetLiteCalls);
+      std::vector<QueryResult> results;
+      ASSERT_TRUE(
+          db->RangeLookup("CreationTime", Ctime(100), Ctime(299), k, &results)
+              .ok());
+      ASSERT_EQ(k, results.size());
+      for (size_t j = 0; j < k; j++) {
+        const int ts = 299 - static_cast<int>(j);
+        EXPECT_EQ(TimeKey(ts, keys_follow_time), results[j].primary_key);
+        EXPECT_EQ(Doc("u1", ts), results[j].value);
+      }
+      EXPECT_EQ(candidates, stats->Get(kBlockRead) - reads_before);
+      // Only the results were GetLite-checked, at every read_parallelism:
+      // records newer than the range fail the range check before GetLite,
+      // and the sixth newest in-range record ends the scan. Admitting in key
+      // order instead checks every in-range record of the bucket (200).
+      EXPECT_EQ(k, stats->Get(kGetLiteCalls) - getlite_before);
+    }
   }
 
   std::unique_ptr<Env> env_;
@@ -271,6 +361,103 @@ TEST_F(VariantTest, EmbeddedLookupReadsEachCandidateBlockOnce) {
   EXPECT_EQ(40u, results.size());
   EXPECT_EQ(confirms_before, stats->Get(kGetLiteConfirmReads));
   EXPECT_EQ(candidates, stats->Get(kBlockRead) - reads_before);
+}
+
+TEST_F(VariantTest, EmbeddedRangeAdmitsNewestFirst) {
+  CheckEmbeddedRangeAdmitsNewestFirst(/*keys_follow_time=*/true);
+}
+
+TEST_F(VariantTest, EmbeddedRangeAdmitsNewestFirstWithKeysAgainstTime) {
+  CheckEmbeddedRangeAdmitsNewestFirst(/*keys_follow_time=*/false);
+}
+
+// A bucket with more candidate blocks than one admission batch holds is
+// admitted in several newest-first batches (so a top-K scan's memory does not
+// grow with the level); the heap still ends with the K newest matches.
+TEST_F(VariantTest, EmbeddedRangeAdmitsNewestFirstAcrossHeldBatches) {
+  const int n = 6000;  // ~330 one-KB blocks in one compacted level
+  for (bool keys_follow_time : {true, false}) {
+    for (int parallelism : {0, 4}) {
+      SCOPED_TRACE(std::string(keys_follow_time ? "keys follow time"
+                                                : "keys against time") +
+                   ", read_parallelism " + std::to_string(parallelism));
+      auto db = OpenTimeIndexed(IndexType::kEmbedded, parallelism);
+      for (int i = 0; i < n; i++) {
+        char key[16];
+        std::snprintf(key, sizeof(key), "t%05d",
+                      keys_follow_time ? i : n - 1 - i);
+        ASSERT_TRUE(db->Put(key, Doc("u1", i)).ok());
+      }
+      ASSERT_TRUE(db->CompactAll().ok());
+      // The largest bucket must exceed the scan's 128-block batch.
+      size_t largest_bucket = 0;
+      DBImpl* primary = db->primary();
+      {
+        DBImpl::ReadView view(primary, ReadOptions());
+        ASSERT_TRUE(primary
+                        ->EmbeddedScanBuckets(
+                            view, "CreationTime", Ctime(0), Ctime(n),
+                            [](const Slice&, SequenceNumber, const Slice&) {},
+                            [&](const std::vector<DBImpl::BlockCandidate>& c) {
+                              largest_bucket =
+                                  std::max(largest_bucket, c.size());
+                            },
+                            [](SequenceNumber) { return true; })
+                        .ok());
+      }
+      ASSERT_GT(largest_bucket, 2u * 128);
+      Statistics* stats = db->primary_statistics();
+      for (size_t k : {size_t{5}, size_t{50}}) {
+        std::vector<QueryResult> results;
+        ASSERT_TRUE(db->RangeLookup("CreationTime", Ctime(0), Ctime(n), k,
+                                    &results)
+                        .ok());
+        ASSERT_EQ(k, results.size());
+        for (size_t j = 0; j < k; j++) {
+          EXPECT_EQ(Doc("u1", n - 1 - static_cast<int>(j)), results[j].value);
+        }
+      }
+      // Keys against time put the newest records in the first batch, so the
+      // later batches GetLite-check nothing more.
+      const uint64_t getlite_before = stats->Get(kGetLiteCalls);
+      std::vector<QueryResult> results;
+      ASSERT_TRUE(
+          db->RangeLookup("CreationTime", Ctime(0), Ctime(n), 5, &results)
+              .ok());
+      if (!keys_follow_time) {
+        EXPECT_EQ(5u, stats->Get(kGetLiteCalls) - getlite_before);
+      }
+    }
+  }
+}
+
+// Eager and Composite validate a range's postings as one newest-first
+// batch: on an ascending-time store a K=5 range validates at most 5
+// candidates, however many lists (Eager: one per timestamp) it spans.
+TEST_F(VariantTest, PostingRangeValidatesNewestFirst) {
+  const size_t k = 5;
+  for (IndexType type : {IndexType::kEager, IndexType::kComposite}) {
+    SCOPED_TRACE(IndexTypeName(type));
+    auto db = OpenTimeIndexed(type, /*read_parallelism=*/0);
+    for (int i = 0; i < 400; i++) {
+      ASSERT_TRUE(db->Put(TimeKey(i, true), Doc("u1", i)).ok());
+    }
+    PerfContext* perf = GetPerfContext();
+    EnablePerfContext();
+    perf->Reset();
+    std::vector<QueryResult> results;
+    Status s =
+        db->RangeLookup("CreationTime", Ctime(100), Ctime(299), k, &results);
+    DisablePerfContext();
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_EQ(k, results.size());
+    for (size_t j = 0; j < k; j++) {
+      EXPECT_EQ(TimeKey(299 - static_cast<int>(j), true),
+                results[j].primary_key);
+    }
+    EXPECT_EQ(200u, perf->posting_entries_scanned);
+    EXPECT_LE(perf->candidates_validated, k);
+  }
 }
 
 TEST_F(VariantTest, EmbeddedUnlimitedLookupMustScanAllLevels) {
