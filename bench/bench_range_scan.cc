@@ -1,18 +1,16 @@
-// Range-scan engine comparison: heap-merge iterators vs REMIX-style sorted
-// views, swept over scan selectivity for every index variant.
+// Primary-key range scans through the heap-merge iterator, swept over scan
+// selectivity for every index variant.
 //
-// Both sides scan the PRIMARY table through DB::NewIterator over identical
-// data and identical LSM shapes (the put stream and engine geometry are
-// deterministic); the only difference is Options::sorted_views. The
-// heap-merge path pays a log(runs) heap reshuffle on every Next(); the
-// sorted view pays one binary search at Seek() and then streams runs
-// sequentially through precomputed cursor offsets, so its advantage grows
-// with the number of keys each scan touches.
+// Each variant scans its PRIMARY table through DB::NewIterator over the same
+// deterministic put stream and engine geometry, so the LSM shape is fixed
+// per variant and each scan pays a log(runs) heap reshuffle per Next().
 //
-// Emits one JSON line per (variant, engine, selectivity) cell:
-//   {"bench":"range_scan","variant":"Lazy","engine":"sorted_view",
+// Emits one JSON line per (variant, selectivity) cell:
+//   {"bench":"range_scan","variant":"Lazy","engine":"heap_merge",
 //    "permille":100,"scans":...,"keys_per_scan":...,"us_per_scan":...,
-//    "keys_per_sec":...,"sv_builds":...,"sv_used":...,"sv_fallbacks":...}
+//    "keys_per_sec":...}
+// "engine" is always "heap_merge"; it keeps rows comparable with older
+// snapshots, which also measured a second engine.
 //
 // Usage: bench_range_scan [--n=40000] [--reps=40] [--pad=128]
 
@@ -33,8 +31,7 @@ std::string ScanKey(uint64_t i) {
 }
 
 // Incompressible padding so on-disk sizes track document sizes and the
-// deterministic geometry below develops multiple populated levels (sorted
-// views only build with >= 2 sorted runs below L0).
+// deterministic geometry below develops multiple populated levels.
 std::string Doc(uint64_t i, size_t pad) {
   std::string noise(pad, ' ');
   uint64_t x = (i + 1) * 6364136223846793005ull + 1442695040888963407ull;
@@ -69,86 +66,69 @@ void Run(const Flags& flags) {
                n, pad, reps);
 
   for (IndexType type : AllVariants()) {
-    for (bool sorted : {false, true}) {
-      const char* engine = sorted ? "sorted_view" : "heap_merge";
-      VariantConfig config;
-      config.type = type;
-      if (type == IndexType::kNoIndex) config.attributes = {};
-      // Small geometry so ~n docs settle into 2-3 populated levels below
-      // L0 at quiescence; incompressible docs keep the shape honest.
-      config.write_buffer_size = 256 << 10;
-      config.max_file_size = 128 << 10;
-      config.max_bytes_for_level_base = 512 << 10;
-      config.compression = kNoCompression;
-      config.sorted_views = sorted;
-      const std::string path =
-          root + "/" + Name(type) + (sorted ? "_sv" : "_hm");
-      auto db = OpenVariant(config, path);
-      for (uint64_t i = 0; i < n; i++) {
-        CheckOk(db->Put(ScanKey(i), Doc(i, pad)), "put");
-      }
+    VariantConfig config;
+    config.type = type;
+    if (type == IndexType::kNoIndex) config.attributes = {};
+    // Small geometry so ~n docs settle into 2-3 populated levels below
+    // L0 at quiescence; incompressible docs keep the shape honest.
+    config.write_buffer_size = 256 << 10;
+    config.max_file_size = 128 << 10;
+    config.max_bytes_for_level_base = 512 << 10;
+    config.compression = kNoCompression;
+    const std::string path = root + "/" + Name(type);
+    auto db = OpenVariant(config, path);
+    for (uint64_t i = 0; i < n; i++) {
+      CheckOk(db->Put(ScanKey(i), Doc(i, pad)), "put");
+    }
 
-      std::vector<Cell> cells(permille.size());
-      for (uint64_t rep = 0; rep < reps; rep++) {
-        for (size_t s = 0; s < permille.size(); s++) {
-          const uint64_t width = n * permille[s] / 1000;
-          if (width == 0) continue;
-          // Rotate the window start so repeats touch different blocks.
-          const uint64_t lo = (rep * 2654435761ull) % (n - width + 1);
-          const std::string limit = ScanKey(lo + width);
-          Timer timer;
-          std::unique_ptr<Iterator> it(
-              db->primary()->NewIterator(ReadOptions()));
-          uint64_t keys = 0;
-          for (it->Seek(ScanKey(lo));
-               it->Valid() && it->key().ToString() < limit; it->Next()) {
-            keys++;
-          }
-          CheckOk(it->status(), "scan");
-          cells[s].micros += timer.ElapsedMicros();
-          cells[s].scans++;
-          cells[s].keys += keys;
-        }
-      }
-
-      const uint64_t builds = db->TotalTicker(kSortedViewBuilds);
-      const uint64_t used = db->TotalTicker(kSortedViewUsed);
-      const uint64_t fallbacks = db->TotalTicker(kSortedViewFallbacks);
-      if (sorted && used == 0) {
-        fprintf(stderr,
-                "WARNING: %s sorted_view config never used a view "
-                "(builds=%" PRIu64 " fallbacks=%" PRIu64 ")\n",
-                Name(type), builds, fallbacks);
-      }
+    std::vector<Cell> cells(permille.size());
+    for (uint64_t rep = 0; rep < reps; rep++) {
       for (size_t s = 0; s < permille.size(); s++) {
-        const Cell& c = cells[s];
-        if (c.scans == 0) continue;
-        const double us_per_scan =
-            static_cast<double>(c.micros) / c.scans;
-        const double keys_per_scan =
-            static_cast<double>(c.keys) / c.scans;
-        const double keys_per_sec =
-            c.micros == 0 ? 0.0
-                          : static_cast<double>(c.keys) * 1e6 / c.micros;
-        std::fprintf(stderr,
-                     "  %-10s %-11s %4" PRIu64 "‰  %9.1f us/scan  "
-                     "%8.0f keys  %10.0f keys/s\n",
-                     Name(type), engine, permille[s], us_per_scan,
-                     keys_per_scan, keys_per_sec);
-        JsonLine line("range_scan");
-        line.Str("variant", Name(type))
-            .Str("engine", engine)
-            .Int("permille", permille[s])
-            .Int("n", n)
-            .Int("scans", c.scans)
-            .Double("keys_per_scan", keys_per_scan)
-            .Double("us_per_scan", us_per_scan)
-            .Double("keys_per_sec", keys_per_sec)
-            .Int("sv_builds", builds)
-            .Int("sv_used", used)
-            .Int("sv_fallbacks", fallbacks);
-        line.Emit();
+        const uint64_t width = n * permille[s] / 1000;
+        if (width == 0) continue;
+        // Rotate the window start so repeats touch different blocks.
+        const uint64_t lo = (rep * 2654435761ull) % (n - width + 1);
+        const std::string limit = ScanKey(lo + width);
+        Timer timer;
+        std::unique_ptr<Iterator> it(
+            db->primary()->NewIterator(ReadOptions()));
+        uint64_t keys = 0;
+        for (it->Seek(ScanKey(lo));
+             it->Valid() && it->key().ToString() < limit; it->Next()) {
+          keys++;
+        }
+        CheckOk(it->status(), "scan");
+        cells[s].micros += timer.ElapsedMicros();
+        cells[s].scans++;
+        cells[s].keys += keys;
       }
+    }
+
+    for (size_t s = 0; s < permille.size(); s++) {
+      const Cell& c = cells[s];
+      if (c.scans == 0) continue;
+      const double us_per_scan =
+          static_cast<double>(c.micros) / c.scans;
+      const double keys_per_scan =
+          static_cast<double>(c.keys) / c.scans;
+      const double keys_per_sec =
+          c.micros == 0 ? 0.0
+                        : static_cast<double>(c.keys) * 1e6 / c.micros;
+      std::fprintf(stderr,
+                   "  %-10s %4" PRIu64 "‰  %9.1f us/scan  "
+                   "%8.0f keys  %10.0f keys/s\n",
+                   Name(type), permille[s], us_per_scan,
+                   keys_per_scan, keys_per_sec);
+      JsonLine line("range_scan");
+      line.Str("variant", Name(type))
+          .Str("engine", "heap_merge")
+          .Int("permille", permille[s])
+          .Int("n", n)
+          .Int("scans", c.scans)
+          .Double("keys_per_scan", keys_per_scan)
+          .Double("us_per_scan", us_per_scan)
+          .Double("keys_per_sec", keys_per_sec);
+      line.Emit();
     }
   }
 }

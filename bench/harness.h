@@ -137,9 +137,6 @@ struct VariantConfig {
   // 0 = the paper's sequential read path; > 1 fans candidate resolution
   // out over the shared pool.
   int read_parallelism = 0;
-  // Build REMIX-style sorted views at quiescent points; range iterators
-  // then stream the pre-merged runs instead of heap-merging per Next().
-  bool sorted_views = false;
   // Override the Env (nullptr = Env::Posix()); benches use this to inject
   // storage latency.
   Env* env = nullptr;
@@ -154,7 +151,6 @@ inline std::unique_ptr<SecondaryDB> OpenVariant(const VariantConfig& config,
   options.base.max_bytes_for_level_base = config.max_bytes_for_level_base;
   options.base.compression = config.compression;
   options.base.read_parallelism = config.read_parallelism;
-  options.base.sorted_views = config.sorted_views;
   options.index_type = config.type;
   options.indexed_attributes = config.attributes;
   options.embedded_bloom_bits_per_key = config.embedded_bits_per_key;

@@ -34,12 +34,10 @@
 #     shedding on, thread count stepped 1..16. Goodput should hold while
 #     the excess answers RETRY_LATER and acknowledged-write p99 stays
 #     bounded — the overload-proofing contract, as a number.
-#   * bench_range_scan — primary range scans, heap-merge iterators vs
-#     REMIX-style sorted views, selectivity sweep (1‰ .. 1000‰) across
-#     all five variants over identical deterministic LSM shapes. The
-#     sorted view pays one binary search per Seek and then streams runs
-#     sequentially; the gap over the per-Next heap reshuffle widens with
-#     scan width.
+#   * bench_range_scan — primary range scans through the heap-merge
+#     iterator, selectivity sweep (1‰ .. 1000‰) across all five variants
+#     over deterministic LSM shapes: the per-Next heap reshuffle over the
+#     memtable, L0 files and one run per level below L0.
 #   * bench_join — index-nested-loop joins between two stores, join-value
 #     cardinality sweep (8 / 64 / 512 distinct values over 4k rows per
 #     side) across all five variants: few huge groups are
@@ -57,6 +55,9 @@
 #     RANGELOOKUP cells on the time-correlated CreationTime index, one row
 #     per (figure, K, variant): p50 latency, and per query the candidates
 #     validated against the primary table and the Embedded GetLite checks.
+#   * bench_fig10_userid --json — the same cells for Figure 10 on the
+#     non-time-correlated UserID index (LOOKUP, and RANGELOOKUP over 10 and
+#     100 users).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -115,11 +116,14 @@ echo "==> serve overload sweep (no-retry writers, shedding on)"
 "${bin}/bench/bench_serve" --mode=overload --shards=2 --ops=20000 \
   --types=lazy >> "${tmp}"
 
-echo "==> range scans (heap-merge vs sorted view, selectivity sweep)"
+echo "==> range scans (heap-merge, selectivity sweep)"
 "${bin}/bench/bench_range_scan" --n=40000 --reps=40 >> "${tmp}"
 
 echo "==> joins (index-nested-loop, join-value cardinality sweep)"
 "${bin}/bench/bench_join" --n=4000 --reps=3 >> "${tmp}"
+
+echo "==> fig10 UserID LOOKUP / RANGELOOKUP cells"
+"${bin}/bench/bench_fig10_userid" --json >> "${tmp}"
 
 echo "==> fig11 CreationTime LOOKUP / RANGELOOKUP cells"
 "${bin}/bench/bench_fig11_ctime" --json >> "${tmp}"

@@ -85,12 +85,12 @@ if [[ -n "${SAN_FILTER}" ]]; then
   ASAN_OPTIONS="halt_on_error=1" ctest --preset asan -L ingest
 fi
 
-# Iterators: the differential iterator-model harness (500+ randomized
+# Iterators: the differential iterator-model harness (280 randomized
 # rounds of snapshot reads, scans, flush/compaction/ingest interleavings,
-# byte-identical across sorted_views on/off x read_parallelism 0/4) plus
-# the directed snapshot-under-mutation suite. Snapshot pinning crosses the
-# writer/background threads (TSan) and the sorted-view artifact is parsed
-# back from disk on reopen (ASan). Skipped when --sanitize-all already ran
+# byte-identical across read_parallelism 0/4) plus the directed
+# snapshot-under-mutation suite. Snapshot pinning crosses the
+# writer/background threads (TSan) and iterators pin memtables and table
+# files across compactions (ASan). Skipped when --sanitize-all already ran
 # the full suites.
 if [[ -n "${SAN_FILTER}" ]]; then
   echo "==> TSan iterator tests"
@@ -124,7 +124,7 @@ fi
 
 # Planner: the conjunctive/join differential matrix — LookupAnd and
 # JoinOnAttribute byte-identical across forced plans, drive sides,
-# read_parallelism, sorted views, and shard counts. The intersect path
+# read_parallelism, a full compaction, and shard counts. The intersect path
 # fans posting scans over the shared pool (TSan) and the wire tests parse
 # LOOKUPAND/JOIN frames (ASan). Skipped when --sanitize-all already ran
 # the full suites.

@@ -129,12 +129,7 @@ Status CompositeIndex::RangeLookup(const Slice& lo, const Slice& hi,
 Status CompositeIndex::ScanPostings(
     const Slice& lo, const Slice& hi,
     const std::function<void(const Slice& primary_key, uint64_t seq)>& fn) {
-  bool used_sorted_view = false;
-  std::unique_ptr<Iterator> it(
-      index_db_->NewIterator(ReadOptions(), &used_sorted_view));
-  if (used_sorted_view && index_statistics() != nullptr) {
-    index_statistics()->Record(kCompositeViewScans);
-  }
+  std::unique_ptr<Iterator> it(index_db_->NewIterator(ReadOptions()));
   std::string seek_target = lo.ToString();  // attr prefix lower bound
   for (it->Seek(Slice(seek_target)); it->Valid(); it->Next()) {
     Slice attr_value, primary_key;
@@ -180,12 +175,7 @@ Status CompositeIndex::EnumerateIndexedKeys(
     std::vector<std::string>* primary_keys) {
   primary_keys->clear();
   std::set<std::string> keys;
-  bool used_sorted_view = false;
-  std::unique_ptr<Iterator> it(
-      index_db_->NewIterator(ReadOptions(), &used_sorted_view));
-  if (used_sorted_view && index_statistics() != nullptr) {
-    index_statistics()->Record(kCompositeViewScans);
-  }
+  std::unique_ptr<Iterator> it(index_db_->NewIterator(ReadOptions()));
   uint64_t rows = 0;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     Slice attr_value, primary_key;

@@ -54,11 +54,7 @@ class CompositeIndex : public StandAloneIndex {
 
   /// Phase-1 posting scan shared by RangeLookup and the enumeration hooks:
   /// walk every live composite key with lo <= attr value <= hi through the
-  /// index table's merged iterator and emit (primary key, stored seq). The
-  /// iterator is opened through the sorted-view-reporting overload so the
-  /// ROADMAP item-3 fast path is explicit: when the index table has a
-  /// current sorted view, levels >= 1 arrive as ONE pre-merged run and the
-  /// scan records index.composite.view.scans.
+  /// index table's merged iterator and emit (primary key, stored seq).
   Status ScanPostings(
       const Slice& lo, const Slice& hi,
       const std::function<void(const Slice& primary_key, uint64_t seq)>& fn);

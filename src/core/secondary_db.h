@@ -149,8 +149,7 @@ class SecondaryDB {
   // Thin forwards to the primary table: a snapshot pins a sequence number
   // (writes/flushes/compactions after it stay invisible), and iterators
   // are bidirectional merged views over memtable + immutables + every
-  // level (one pre-merged run when Options::sorted_views has a current
-  // view). Release every snapshot before closing the store. The
+  // level. Release every snapshot before closing the store. The
   // stand-alone index tables are NOT covered: LOOKUP/RANGELOOKUP read
   // "now" by design (the paper's queries have no as-of semantics).
   const Snapshot* GetSnapshot();

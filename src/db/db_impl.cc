@@ -1360,12 +1360,6 @@ Status DBImpl::IngestExternalFiles(const IngestFeed& feed,
       }
       s = versions_->LogAndApply(&edit);
       if (s.ok()) {
-        // A splice into levels >= 1 just invalidated any sorted view;
-        // rebuild under the compaction token (waiting briefly if a
-        // compaction is mid-flight) so iterators regain the fast path.
-        AcquireCompactionToken();
-        MaybeRebuildSortedView();
-        ReleaseCompactionToken();
         RemoveObsoleteFiles();
       }
     }
@@ -1411,11 +1405,6 @@ Status DBImpl::BackgroundCompaction() {
     status = DoCompactionWork(c.get());
   }
   c->ReleaseInputs();
-  // Rebuild the sorted view once the tree settles; while more compactions
-  // are pending each rebuild would be invalidated immediately, so wait.
-  if (status.ok() && !versions_->NeedsCompaction()) {
-    MaybeRebuildSortedView();
-  }
   RemoveObsoleteFiles();
   return status;
 }
@@ -1719,13 +1708,8 @@ void DBImpl::RemoveObsoleteFiles() {
           keep = (live.find(number) != live.end());
           break;
         case kTempFile:
+        case kSortedViewFile:  // Left behind by older versions
           keep = false;
-          break;
-        case kSortedViewFile:
-          // Only the MANIFEST-referenced sorted view is live; a superseded
-          // or orphaned (build crashed before LogAndApply) view is garbage.
-          keep = (number == versions_->SortedViewNumber() ||
-                  pending_outputs_.find(number) != pending_outputs_.end());
           break;
         case kCurrentFile:
         case kDBLockFile:
@@ -1766,8 +1750,7 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   return s;
 }
 
-DBImpl::ReadView::ReadView(DBImpl* db, const ReadOptions& options,
-                           bool sorted_view)
+DBImpl::ReadView::ReadView(DBImpl* db, const ReadOptions& options)
     : db_(db) {
   MutexLock l(&db->mutex_);
   mems.push_back(db->mem_);
@@ -1781,9 +1764,6 @@ DBImpl::ReadView::ReadView(DBImpl* db, const ReadOptions& options,
       options.snapshot != nullptr
           ? static_cast<const SnapshotImpl*>(options.snapshot)->sequence()
           : db->versions_->LastSequence();
-  if (sorted_view && db->options_.sorted_views) {
-    view = db->GetOrLoadSortedView();
-  }
 }
 
 DBImpl::ReadView::~ReadView() {
@@ -2045,163 +2025,13 @@ Status DBImpl::GetFragments(
       });
 }
 
-namespace {
-
-// True iff `view` describes exactly `v`'s levels >= 1: same non-empty
-// levels, same file numbers in the same order.
-bool SortedViewMatchesVersion(const SortedView& view, Version* v) {
-  size_t run = 0;
-  for (int level = 1; level < v->NumLevels(); level++) {
-    const std::vector<FileMetaData*>& files = v->files(level);
-    if (files.empty()) continue;
-    if (run >= view.levels.size() || view.levels[run] != level) return false;
-    const std::vector<uint64_t>& numbers = view.level_files[run];
-    if (numbers.size() != files.size()) return false;
-    for (size_t i = 0; i < files.size(); i++) {
-      if (files[i]->number != numbers[i]) return false;
-    }
-    run++;
-  }
-  return run == view.levels.size();
-}
-
-}  // namespace
-
-void DBImpl::MaybeRebuildSortedView() {
-  mutex_.AssertHeld();
-  assert(compaction_token_held_);
-  if (!options_.sorted_views ||
-      shutting_down_.load(std::memory_order_acquire)) {
-    return;
-  }
-  if (versions_->SortedViewNumber() != 0) {
-    // The MANIFEST still points at a view, so no edit has touched levels
-    // >= 1 since it was built (e.g. an L0-only ingest): keep it.
-    return;
-  }
-  Version* base = versions_->current();
-  std::vector<int> covered;
-  for (int level = 1; level < base->NumLevels(); level++) {
-    if (base->NumFiles(level) > 0) covered.push_back(level);
-  }
-  if (covered.size() < 2) {
-    // Zero or one sorted run below L0: the concatenating iterator is
-    // already a pre-merged view, nothing to gain. Any previous view's
-    // number was cleared by the edit that got us here.
-    sorted_view_cache_.reset();
-    return;
-  }
-
-  auto view = std::make_shared<SortedView>();
-  view->number = versions_->NewFileNumber();
-  view->levels = covered;
-  for (int level : covered) {
-    std::vector<uint64_t> numbers;
-    numbers.reserve(base->files(level).size());
-    for (const FileMetaData* f : base->files(level)) {
-      numbers.push_back(f->number);
-    }
-    view->level_files.push_back(std::move(numbers));
-  }
-  pending_outputs_.insert(view->number);
-  base->Ref();
-
-  mutex_.Unlock();
-  const uint64_t start_micros = env_->NowMicros();
-  ReadOptions read_options;
-  read_options.fill_cache = false;
-  std::vector<Iterator*> runs;
-  for (int level : covered) {
-    runs.push_back(base->NewConcatenatingIterator(read_options, level));
-  }
-  Status s = BuildSortedView(&internal_comparator_, runs, view.get());
-  for (Iterator* run : runs) delete run;
-  const std::string fname = SortedViewFileName(dbname_, view->number);
-  if (s.ok()) {
-    s = WriteSortedViewFile(env_, fname, *view);
-  }
-  const uint64_t micros = env_->NowMicros() - start_micros;
-  mutex_.Lock();
-  base->Unref();
-
-  // An ingest may have spliced files while the mutex was released (it does
-  // not hold the compaction token): the sweep then describes a stale tree.
-  // Drop the build — if that ingest touched levels >= 1 it schedules its
-  // own rebuild after its splice.
-  if (s.ok() && !SortedViewMatchesVersion(*view, versions_->current())) {
-    s = Status::InvalidArgument("sorted view superseded during build");
-  }
-  if (s.ok() && !shutting_down_.load(std::memory_order_acquire)) {
-    VersionEdit edit;
-    edit.SetSortedView(view->number);
-    s = versions_->LogAndApply(&edit);
-  }
-  pending_outputs_.erase(view->number);
-  if (s.ok()) {
-    if (options_.statistics != nullptr) {
-      options_.statistics->Record(kSortedViewBuilds);
-      options_.statistics->Record(kSortedViewBuildEntries, view->entry_count);
-      options_.statistics->RecordHistogram(kHistSortedViewBuildMicros,
-                                           static_cast<double>(micros));
-    }
-    sorted_view_cache_ = std::move(view);
-  } else {
-    // The view is only an optimization: absorb the failure (no sticky
-    // background error), delete the partial artifact, keep heap-merging.
-    sorted_view_cache_.reset();
-    env_->RemoveFile(fname);
-  }
-}
-
-std::shared_ptr<const SortedView> DBImpl::GetOrLoadSortedView() {
-  mutex_.AssertHeld();
-  const uint64_t number = versions_->SortedViewNumber();
-  if (number == 0) return nullptr;
-  if (sorted_view_cache_ != nullptr && sorted_view_cache_->number == number) {
-    return sorted_view_cache_;
-  }
-  // First use since reopen: load the artifact the recovered MANIFEST
-  // points at. Any mismatch (corruption, manual file tampering) just
-  // disables the view.
-  auto view = std::make_shared<SortedView>();
-  Status s = ReadSortedViewFile(env_, SortedViewFileName(dbname_, number),
-                                number, view.get());
-  if (s.ok() && !SortedViewMatchesVersion(*view, versions_->current())) {
-    s = Status::Corruption("sorted view does not match current layout");
-  }
-  if (!s.ok()) {
-    sorted_view_cache_.reset();
-    return nullptr;
-  }
-  sorted_view_cache_ = std::move(view);
-  return sorted_view_cache_;
-}
-
 Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
-                                      SequenceNumber* snapshot,
-                                      bool* view_engaged) {
-  ReadView* view = new ReadView(this, options, /*sorted_view=*/true);
+                                      SequenceNumber* snapshot) {
+  ReadView* view = new ReadView(this, options);
   *snapshot = view->snapshot;
   std::vector<Iterator*> list;
   for (MemTable* m : view->mems) list.push_back(m->NewIterator());
-  if (view->view != nullptr) {
-    // L0 files still merge on the fly (they overlap and churn with every
-    // flush); levels >= 1 collapse into one pre-merged run.
-    view->current->AddL0Iterators(options, &list);
-    std::vector<Iterator*> runs;
-    for (int level : view->view->levels) {
-      runs.push_back(view->current->NewConcatenatingIterator(options, level));
-    }
-    list.push_back(NewSortedViewIterator(&internal_comparator_, view->view,
-                                         std::move(runs)));
-  } else {
-    view->current->AddIterators(options, &list);
-  }
-  if (options_.sorted_views && options_.statistics != nullptr) {
-    options_.statistics->Record(view->view != nullptr ? kSortedViewUsed
-                                                      : kSortedViewFallbacks);
-  }
-  if (view_engaged != nullptr) *view_engaged = view->view != nullptr;
+  view->current->AddIterators(options, &list);
   Iterator* internal_iter = NewMergingIterator(
       &internal_comparator_, list.data(), static_cast<int>(list.size()));
   internal_iter->RegisterCleanup([view]() { delete view; });
@@ -2209,14 +2039,8 @@ Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
 }
 
 Iterator* DBImpl::NewIterator(const ReadOptions& options) {
-  return NewIterator(options, nullptr);
-}
-
-Iterator* DBImpl::NewIterator(const ReadOptions& options,
-                              bool* used_sorted_view) {
   SequenceNumber sequence;
-  Iterator* internal_iter =
-      NewInternalIterator(options, &sequence, used_sorted_view);
+  Iterator* internal_iter = NewInternalIterator(options, &sequence);
   Iterator* db_iter = NewDBIterator(internal_comparator_.user_comparator(),
                                     internal_iter, sequence);
   if (options_.statistics != nullptr) {
@@ -2499,10 +2323,6 @@ void DBImpl::CompactRange(const Slice* begin, const Slice* end) {
       c->ReleaseInputs();
       RemoveObsoleteFiles();
     }
-  }
-  if (s.ok()) {
-    MaybeRebuildSortedView();
-    RemoveObsoleteFiles();  // Drop the view the manual compaction replaced
   }
   ReleaseCompactionToken();
   if (!s.ok()) {

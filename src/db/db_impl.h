@@ -49,7 +49,6 @@
 #include "port/port.h"
 #include "port/thread_annotations.h"
 #include "table/quarantine.h"
-#include "table/sorted_view.h"
 #include "wal/log_writer.h"
 
 namespace leveldbpp {
@@ -83,11 +82,6 @@ class DBImpl : public DB {
                   std::vector<std::string>* values,
                   std::vector<Status>* statuses) override;
   Iterator* NewIterator(const ReadOptions&) override;
-  /// As NewIterator, additionally reporting whether the merged view engaged
-  /// the sorted-view fast path (levels >= 1 collapsed into one pre-merged
-  /// run) — lets callers with their own engagement tickers (Composite's
-  /// phase-1 posting scan) attribute the scan precisely.
-  Iterator* NewIterator(const ReadOptions&, bool* used_sorted_view);
   const Snapshot* GetSnapshot() override;
   void ReleaseSnapshot(const Snapshot* snapshot) override;
   bool GetProperty(const Slice& property, std::string* value) override;
@@ -130,9 +124,7 @@ class DBImpl : public DB {
   /// GetLite checks read the same state.
   class ReadView {
    public:
-    /// `sorted_view` also captures the current SortedView under the same
-    /// hold, so it is guaranteed to describe `current` (iterators only).
-    ReadView(DBImpl* db, const ReadOptions& options, bool sorted_view = false);
+    ReadView(DBImpl* db, const ReadOptions& options);
     ~ReadView();
 
     ReadView(const ReadView&) = delete;
@@ -148,7 +140,6 @@ class DBImpl : public DB {
     std::vector<MemTable*> mems;  // Live memtable, then imm queue newest first
     Version* current = nullptr;
     SequenceNumber snapshot = 0;
-    std::shared_ptr<const SortedView> view;  // Set only when requested
 
    private:
     DBImpl* const db_;
@@ -383,25 +374,9 @@ class DBImpl : public DB {
   Status DoCompactionWork(Compaction* c) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   void RemoveObsoleteFiles() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  /// With Options::sorted_views, sweep levels >= 1 once, persist the
-  /// <number>.svw artifact, and record it in the MANIFEST. No-op (beyond
-  /// clearing the in-memory cache) when fewer than two levels are
-  /// non-empty. A failed build is absorbed — the view is an optimization,
-  /// readers just keep heap-merging. Callers must hold the compaction
-  /// token so the layout cannot shift under the sweep (the one writer
-  /// that bypasses the token, IngestExternalFiles, is detected by
-  /// re-validating the layout before install).
-  void MaybeRebuildSortedView() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-
-  /// The SortedView matching the MANIFEST's current sorted-view number,
-  /// loading <number>.svw on first use after reopen. nullptr when no view
-  /// is current (readers fall back to the heap merge).
-  std::shared_ptr<const SortedView> GetOrLoadSortedView()
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   /// Merged internal-key iterator over one ReadView, which it owns (and
   /// unpins on destruction); *snapshot receives the view's sequence.
-  Iterator* NewInternalIterator(const ReadOptions&, SequenceNumber* snapshot,
-                                bool* used_sorted_view = nullptr);
+  Iterator* NewInternalIterator(const ReadOptions&, SequenceNumber* snapshot);
   /// Apply the Lazy-index memtable-local merge to a Put value. Returns the
   /// value to insert (merged with the memtable's current newest fragment).
   std::string MaybeMergeWithMemTable(const Slice& key, const Slice& value);
@@ -460,11 +435,6 @@ class DBImpl : public DB {
   // Sequence numbers pinned by live GetSnapshot() handles; compaction's
   // drop rule retains any record version the oldest entry can still see.
   SnapshotList snapshots_ GUARDED_BY(mutex_);
-
-  // Cache of the current sorted view (number ==
-  // versions_->SortedViewNumber()); iterators share it by shared_ptr so a
-  // rebuild never invalidates a live iterator's copy.
-  std::shared_ptr<const SortedView> sorted_view_cache_ GUARDED_BY(mutex_);
 
   // Table files being written by an in-progress flush/compaction; these are
   // in no Version yet, so RemoveObsoleteFiles must not delete them.

@@ -1,7 +1,7 @@
 // File naming scheme within a DB directory (LevelDB conventions):
 //   <number>.ldb      SSTable
 //   <number>.log      write-ahead log
-//   <number>.svw      sorted-view artifact (REMIX run selectors)
+//   <number>.svw      retired sorted-view artifact; deleted on sight
 //   MANIFEST-<number> version-edit log
 //   CURRENT           name of the live MANIFEST
 //   LOCK              advisory lock marker
@@ -31,7 +31,6 @@ enum FileType {
 
 std::string LogFileName(const std::string& dbname, uint64_t number);
 std::string TableFileName(const std::string& dbname, uint64_t number);
-std::string SortedViewFileName(const std::string& dbname, uint64_t number);
 std::string DescriptorFileName(const std::string& dbname, uint64_t number);
 std::string CurrentFileName(const std::string& dbname);
 std::string LockFileName(const std::string& dbname);

@@ -185,22 +185,6 @@ struct Options {
 
   /// Number of levels (L0..L6 like LevelDB).
   int num_levels = 7;
-
-  /// Opt-in REMIX-style sorted views. When true, after each compaction or
-  /// ingest splice that leaves >= 2 non-empty levels below L0 the engine
-  /// sweeps levels >= 1 once and persists a run-selector artifact
-  /// (<number>.svw, referenced from the MANIFEST): for every group of
-  /// `kSortedViewSegmentSize` merged entries it records an anchor key,
-  /// per-level cursors, and one selector byte per entry. Iterators then
-  /// read levels >= 1 as ONE pre-merged run — a seek is a binary search
-  /// over anchors plus a bounded replay, and every Next() follows a
-  /// selector byte instead of re-heapifying across levels. Memtables and
-  /// L0 still merge on the fly, so the view never goes stale on flushes;
-  /// any structural change to levels >= 1 invalidates it (iterators fall
-  /// back to the classic heap merge until the next rebuild). Results are
-  /// byte-identical either way; only seek/scan cost changes. Default off:
-  /// the paper's figures measure the classic read path.
-  bool sorted_views = false;
 };
 
 struct ReadOptions {

@@ -14,6 +14,8 @@ enum Tag {
   kCompactPointer = 5,
   kDeletedFile = 6,
   kNewFile = 7,
+  // Retired: older versions recorded a sorted-view artifact number here.
+  // Decoding still accepts and ignores it; the number stays reserved.
   kSortedView = 8,
 };
 
@@ -22,12 +24,10 @@ void VersionEdit::Clear() {
   log_number_ = 0;
   next_file_number_ = 0;
   last_sequence_ = 0;
-  sorted_view_number_ = 0;
   has_comparator_ = false;
   has_log_number_ = false;
   has_next_file_number_ = false;
   has_last_sequence_ = false;
-  has_sorted_view_ = false;
   compact_pointers_.clear();
   deleted_files_.clear();
   new_files_.clear();
@@ -76,10 +76,6 @@ void VersionEdit::EncodeTo(std::string* dst) const {
   if (has_last_sequence_) {
     PutVarint32(dst, kLastSequence);
     PutVarint64(dst, last_sequence_);
-  }
-  if (has_sorted_view_) {
-    PutVarint32(dst, kSortedView);
-    PutVarint64(dst, sorted_view_number_);
   }
 
   for (const auto& [level, key] : compact_pointers_) {
@@ -175,9 +171,7 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
         break;
 
       case kSortedView:
-        if (GetVarint64(&input, &sorted_view_number_)) {
-          has_sorted_view_ = true;
-        } else {
+        if (!GetVarint64(&input, &number)) {
           msg = "sorted view number";
         }
         break;
@@ -253,9 +247,6 @@ std::string VersionEdit::DebugString() const {
   }
   if (has_last_sequence_) {
     r += "\n  LastSeq: " + std::to_string(last_sequence_);
-  }
-  if (has_sorted_view_) {
-    r += "\n  SortedView: " + std::to_string(sorted_view_number_);
   }
   for (const auto& [level, number] : deleted_files_) {
     r += "\n  RemoveFile: " + std::to_string(level) + " " +

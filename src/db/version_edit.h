@@ -62,14 +62,6 @@ class VersionEdit {
     has_last_sequence_ = true;
     last_sequence_ = seq;
   }
-  /// Record that sorted-view artifact `num` (0 = none) describes the file
-  /// layout this edit produces. An edit that touches levels >= 1 WITHOUT
-  /// setting this implicitly invalidates any current view (VersionSet
-  /// clears its number when applying such an edit).
-  void SetSortedView(uint64_t num) {
-    has_sorted_view_ = true;
-    sorted_view_number_ = num;
-  }
   void SetCompactPointer(int level, const InternalKey& key) {
     compact_pointers_.push_back(std::make_pair(level, key));
   }
@@ -98,12 +90,10 @@ class VersionEdit {
   uint64_t log_number_;
   uint64_t next_file_number_;
   SequenceNumber last_sequence_;
-  uint64_t sorted_view_number_;
   bool has_comparator_;
   bool has_log_number_;
   bool has_next_file_number_;
   bool has_last_sequence_;
-  bool has_sorted_view_;
 
   std::vector<std::pair<int, InternalKey>> compact_pointers_;
   DeletedFileSet deleted_files_;

@@ -200,16 +200,8 @@ Iterator* GetFileIterator(void* arg, const ReadOptions& options,
 
 }  // namespace
 
-Iterator* Version::NewConcatenatingIterator(const ReadOptions& options,
-                                            int level) const {
-  assert(level >= 1);
-  return NewTwoLevelIterator(
-      new LevelFileNumIterator(vset_->icmp_, &files_[level]), &GetFileIterator,
-      vset_->table_cache_, options);
-}
-
-void Version::AddL0Iterators(const ReadOptions& options,
-                             std::vector<Iterator*>* iters) {
+void Version::AddIterators(const ReadOptions& options,
+                           std::vector<Iterator*>* iters) {
   // Merge all level zero files together since they may overlap; newest
   // (highest file number) first so ties resolve toward newer data.
   std::vector<FileMetaData*> l0(files_[0]);
@@ -220,11 +212,6 @@ void Version::AddL0Iterators(const ReadOptions& options,
     iters->push_back(
         vset_->table_cache_->NewIterator(options, f->number, f->file_size));
   }
-}
-
-void Version::AddIterators(const ReadOptions& options,
-                           std::vector<Iterator*>* iters) {
-  AddL0Iterators(options, iters);
 
   // For levels > 0, use a concatenating iterator that sequentially walks
   // through the non-overlapping files in the level, opening them lazily.
@@ -598,20 +585,6 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
   if (s.ok()) {
     AppendVersion(v);
     log_number_ = edit->log_number_;
-    if (edit->has_sorted_view_) {
-      sorted_view_number_ = edit->sorted_view_number_;
-    } else {
-      // Any structural change to levels >= 1 makes the current view's run
-      // selectors stale; the next qualifying rebuild re-installs one.
-      for (const auto& [level, number] : edit->deleted_files_) {
-        (void)number;
-        if (level >= 1) sorted_view_number_ = 0;
-      }
-      for (const auto& [level, f] : edit->new_files_) {
-        (void)f;
-        if (level >= 1) sorted_view_number_ = 0;
-      }
-    }
   } else {
     v->Ref();
     v->Unref();
@@ -660,7 +633,6 @@ Status VersionSet::Recover() {
   uint64_t next_file = 0;
   uint64_t last_sequence = 0;
   uint64_t log_number = 0;
-  uint64_t sorted_view = 0;
   Builder builder(this, current_);
 
   {
@@ -703,20 +675,6 @@ Status VersionSet::Recover() {
         last_sequence = edit.last_sequence_;
         have_last_sequence = true;
       }
-      // Mirror LogAndApply's sorted-view bookkeeping so a reopened DB
-      // trusts the artifact exactly when the closing process did.
-      if (edit.has_sorted_view_) {
-        sorted_view = edit.sorted_view_number_;
-      } else {
-        for (const auto& [level, number] : edit.deleted_files_) {
-          (void)number;
-          if (level >= 1) sorted_view = 0;
-        }
-        for (const auto& [level, f] : edit.new_files_) {
-          (void)f;
-          if (level >= 1) sorted_view = 0;
-        }
-      }
     }
   }
   file.reset();
@@ -740,7 +698,6 @@ Status VersionSet::Recover() {
     next_file_number_ = next_file + 1;
     last_sequence_ = last_sequence;
     log_number_ = log_number;
-    sorted_view_number_ = sorted_view;
   }
 
   return s;
@@ -798,12 +755,6 @@ Status VersionSet::WriteSnapshot(log::Writer* log) {
     for (FileMetaData* f : current_->files_[level]) {
       edit.AddFile(level, *f);
     }
-  }
-
-  // The snapshot's AddFile records would otherwise read as an implicit
-  // view invalidation on replay; restate the live view explicitly.
-  if (sorted_view_number_ != 0) {
-    edit.SetSortedView(sorted_view_number_);
   }
 
   std::string record;

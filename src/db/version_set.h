@@ -87,11 +87,6 @@ class Version {
   /// contents of this Version when merged (newer sources first).
   void AddIterators(const ReadOptions&, std::vector<Iterator*>* iters);
 
-  /// The level-0 part of AddIterators: one iterator per L0 file, newest
-  /// (highest file number) first. The sorted-view read path uses this and
-  /// replaces the per-level iterators with one pre-merged view.
-  void AddL0Iterators(const ReadOptions&, std::vector<Iterator*>* iters);
-
   /// Point lookup: the newest version of k's user key visible at k's
   /// sequence (WalkResidences, stopping at the first hit). If it is a
   /// value, stores it; if it is a deletion, returns NotFound.
@@ -131,10 +126,6 @@ class Version {
   }
 
   int NumLevels() const { return static_cast<int>(files_.size()); }
-
-  /// Concatenating iterator over the (disjoint, sorted) files of `level`
-  /// (level >= 1), opening files lazily. Caller owns the result.
-  Iterator* NewConcatenatingIterator(const ReadOptions&, int level) const;
 
   /// Store in *inputs all files in `level` that overlap [begin, end]
   /// (nullptr = unbounded). For level 0, expands the range to cover
@@ -221,13 +212,6 @@ class VersionSet {
 
   uint64_t LogNumber() const { return log_number_; }
 
-  /// Number of the sorted-view artifact (<number>.svw) that matches the
-  /// CURRENT version's levels >= 1 layout, or 0 when none does. Maintained
-  /// by LogAndApply: an edit carrying SetSortedView installs that number;
-  /// an edit that adds or deletes files in levels >= 1 without one clears
-  /// it (the view's run selectors no longer describe the tree).
-  uint64_t SortedViewNumber() const { return sorted_view_number_; }
-
   /// Pick a level and inputs for a new compaction, or nullptr if none is
   /// needed. Caller owns the result.
   Compaction* PickCompaction();
@@ -284,7 +268,6 @@ class VersionSet {
   uint64_t manifest_file_number_;
   std::atomic<SequenceNumber> last_sequence_;
   uint64_t log_number_;
-  uint64_t sorted_view_number_ = 0;
 
   // Opened lazily
   std::unique_ptr<WritableFile> descriptor_file_;

@@ -58,10 +58,6 @@ const char* TickerName(Ticker t) {
     case kIterCreated: return "iter.created";
     case kIterSnapshotsAcquired: return "iter.snapshots.acquired";
     case kIterSnapshotsReleased: return "iter.snapshots.released";
-    case kSortedViewBuilds: return "iter.sortedview.builds";
-    case kSortedViewBuildEntries: return "iter.sortedview.build.entries";
-    case kSortedViewUsed: return "iter.sortedview.used";
-    case kSortedViewFallbacks: return "iter.sortedview.fallbacks";
     case kServeRequestsShed: return "serve.requests.shed";
     case kServeDeadlineExceeded: return "serve.deadline.exceeded";
     case kServeRetriesSuggested: return "serve.retries.suggested";
@@ -74,7 +70,6 @@ const char* TickerName(Ticker t) {
     case kJoinProbes: return "join.probes";
     case kJoinOuterRows: return "join.outer.rows";
     case kJoinPairs: return "join.pairs";
-    case kCompositeViewScans: return "index.composite.view.scans";
     case kShardJoinFanouts: return "shard.join.fanouts";
     case kTickerCount: break;
   }
@@ -94,7 +89,6 @@ const char* HistogramName(HistogramType h) {
     case kHistCompactionMicros: return "compaction.micros";
     case kHistWalSyncMicros: return "wal.sync.micros";
     case kHistFlushQueueDepth: return "flush.queue.depth";
-    case kHistSortedViewBuildMicros: return "sortedview.build.micros";
     case kHistLookupAndMicros: return "lookupand.micros";
     case kHistJoinMicros: return "join.micros";
     case kHistogramCount: break;

@@ -71,10 +71,6 @@ enum Ticker : uint32_t {
   kIterCreated,           // public DB iterators created (NewIterator)
   kIterSnapshotsAcquired,  // GetSnapshot calls
   kIterSnapshotsReleased,  // ReleaseSnapshot calls
-  kSortedViewBuilds,       // sorted views built after compaction/ingest
-  kSortedViewBuildEntries,  // internal entries swept into sorted views
-  kSortedViewUsed,         // iterators that read levels >= 1 via the view
-  kSortedViewFallbacks,  // iterators that fell back to the per-level heap
   kServeRequestsShed,      // requests refused with RETRY_LATER (admission
                            // control or a no_stall write hitting the ladder)
   kServeDeadlineExceeded,  // requests answered DEADLINE_EXCEEDED
@@ -87,7 +83,6 @@ enum Ticker : uint32_t {
   kJoinProbes,             // inner-side index probes issued by joins
   kJoinOuterRows,          // outer-side rows grouped by join attribute
   kJoinPairs,              // joined pairs emitted before top-K truncation
-  kCompositeViewScans,     // composite phase-1 scans served by a sorted view
   kShardJoinFanouts,       // cross-shard JOIN fan-outs
   kTickerCount,
 };
@@ -111,7 +106,6 @@ enum HistogramType : uint32_t {
   kHistWalSyncMicros,          // fsync of the WAL inside Write
   kHistFlushQueueDepth,        // imm-queue depth after each rotation (count,
                                // not micros; depth > 1 only with pipelining)
-  kHistSortedViewBuildMicros,  // one sorted-view build sweep
   kHistLookupAndMicros,        // one conjunctive SecondaryDB::LookupAnd
   kHistJoinMicros,             // one JoinOnAttribute / ShardedDB::Join
   kHistogramCount,

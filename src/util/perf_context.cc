@@ -34,8 +34,6 @@ const std::vector<PerfContext::Field>& PerfContext::CounterFields() {
        &PerfContext::candidate_records_scanned},
       {"perf.candidates.validated", &PerfContext::candidates_validated},
       {"perf.candidates.valid", &PerfContext::candidates_valid},
-      {"perf.sortedview.seeks", &PerfContext::sortedview_seeks},
-      {"perf.sortedview.steps", &PerfContext::sortedview_steps},
   };
   return kFields;
 }

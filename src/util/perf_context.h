@@ -41,8 +41,6 @@ struct PerfContext {
   uint64_t candidate_records_scanned = 0; // records visited in scans
   uint64_t candidates_validated = 0;      // primary-DB validation attempts
   uint64_t candidates_valid = 0;          // ... that confirmed the attribute
-  uint64_t sortedview_seeks = 0;          // sorted-view segment binary searches
-  uint64_t sortedview_steps = 0;          // selector bytes replayed/advanced
 
   // Stage timers (microseconds, steady clock). Stages overlap: a secondary
   // lookup's validate_micros is a slice of its lookup_micros.

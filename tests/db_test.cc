@@ -12,7 +12,9 @@
 #include "db/filename.h"
 #include "env/env.h"
 #include "table/filter_policy.h"
+#include "util/coding.h"
 #include "util/random.h"
+#include "wal/log_writer.h"
 
 namespace leveldbpp {
 
@@ -349,6 +351,55 @@ TEST_F(DBTest, GetFragmentsSeesAllVersionsAcrossLevels) {
   ASSERT_GE(values.size(), 2u);
   ASSERT_EQ("v3", values[0]);
   ASSERT_EQ("v2", values[1]);
+}
+
+TEST_F(DBTest, OpensStoreWithRetiredSortedViewArtifacts) {
+  ASSERT_TRUE(Put("a", "1").ok());
+  ASSERT_TRUE(db_->CompactAll().ok());
+  ASSERT_TRUE(Put("b", "2").ok());
+  db_.reset();
+
+  // Older versions kept REMIX sorted views in <number>.svw files and named
+  // the current one in the MANIFEST with edit tag 8. Recreate both: a
+  // leftover artifact, and a MANIFEST whose last record carries the tag.
+  auto read_all = [&](const std::string& fname) {
+    uint64_t size = 0;
+    EXPECT_TRUE(env_->GetFileSize(fname, &size).ok()) << fname;
+    std::unique_ptr<RandomAccessFile> file;
+    EXPECT_TRUE(env_->NewRandomAccessFile(fname, &file).ok()) << fname;
+    std::string scratch(size, '\0');
+    Slice result;
+    EXPECT_TRUE(file->Read(0, size, &result, scratch.data()).ok()) << fname;
+    return result.ToString();
+  };
+  std::string current = read_all(CurrentFileName(dbname_));
+  ASSERT_FALSE(current.empty());
+  current.pop_back();  // Trailing newline
+  const std::string manifest = dbname_ + "/" + current;
+  const std::string old_manifest = read_all(manifest);
+  {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env_->NewWritableFile(manifest, &file).ok());
+    ASSERT_TRUE(file->Append(old_manifest).ok());
+    log::Writer writer(file.get(), old_manifest.size());
+    std::string record;
+    PutVarint32(&record, 8);
+    PutVarint64(&record, 123);
+    ASSERT_TRUE(writer.AddRecord(record).ok());
+    ASSERT_TRUE(file->Close().ok());
+  }
+  const std::string artifact = dbname_ + "/000123.svw";
+  {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env_->NewWritableFile(artifact, &file).ok());
+    ASSERT_TRUE(file->Append("view").ok());
+    ASSERT_TRUE(file->Close().ok());
+  }
+
+  ReopenWithDefaults();
+  EXPECT_EQ("1", Get("a"));
+  EXPECT_EQ("2", Get("b"));
+  EXPECT_FALSE(env_->FileExists(artifact));
 }
 
 TEST_F(DBTest, DestroyRemovesEverything) {

@@ -5,12 +5,13 @@
 // flush/compaction, snapshots taken mid-mutation, and iterators created
 // before mutations (implicit creation-time pinning).
 //
-// Every seed runs under FOUR configurations — read_parallelism 0/4 x
-// sorted_views off/on — in lockstep against the model, and the four
-// per-seed transcripts must be byte-identical: the sorted view and the
-// parallel read path are pure optimizations. 140 seeds x 4 configs = 560
-// randomized rounds. The repro seed is printed at start and attached to
-// every assertion; override with the ITER_MODEL_SEED env var.
+// Every seed runs under TWO configurations — read_parallelism 0 and 4 — in
+// lockstep against the model, and the two per-seed transcripts must be
+// byte-identical: the parallel read path is a pure optimization. 140 seeds
+// x 2 configs = 280 randomized rounds (the test name keeps the count from
+// when a second read engine doubled the configs). The repro seed is
+// printed at start and attached to every assertion; override with the
+// ITER_MODEL_SEED env var.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,6 @@
 
 #include "db/db_impl.h"
 #include "env/env.h"
-#include "env/statistics.h"
 #include "util/random.h"
 
 namespace leveldbpp {
@@ -30,18 +30,15 @@ namespace {
 
 struct Config {
   int read_parallelism;
-  bool sorted_views;
   const char* name;
 };
 
 constexpr Config kConfigs[] = {
-    {0, false, "serial/heap"},
-    {4, false, "parallel/heap"},
-    {0, true, "serial/sortedview"},
-    {4, true, "parallel/sortedview"},
+    {0, "serial"},
+    {4, "parallel"},
 };
 
-constexpr int kSeeds = 140;  // x 4 configs = 560 rounds
+constexpr int kSeeds = 140;  // x 2 configs = 280 rounds
 constexpr int kKeySpace = 200;
 constexpr int kOpsPerRound = 180;
 constexpr int kProgramLength = 20;
@@ -199,20 +196,16 @@ class IteratorModelTest : public testing::Test {
   // One full randomized round: build a store while interleaving iterator
   // programs (plain, snapshot-under-mutation, iterator-under-mutation),
   // returning the round's observation transcript.
-  void RunRound(uint32_t seed, const Config& cfg, Statistics* stats,
-                std::string* transcript) {
+  void RunRound(uint32_t seed, const Config& cfg, std::string* transcript) {
     std::unique_ptr<Env> env(NewMemEnv());
     Options options;
     options.env = env.get();
     options.create_if_missing = true;
-    // Small thresholds so 200 keys develop multiple levels (the sorted
-    // view only engages with >= 2 non-empty levels below L0).
+    // Small thresholds so 200 keys develop multiple levels.
     options.write_buffer_size = 4 << 10;
     options.max_file_size = 2 << 10;
     options.max_bytes_for_level_base = 1 << 10;
     options.read_parallelism = cfg.read_parallelism;
-    options.sorted_views = cfg.sorted_views;
-    options.statistics = stats;
     DBImpl* raw = nullptr;
     ASSERT_TRUE(DBImpl::Open(options, "/iter_model", &raw).ok());
     std::unique_ptr<DBImpl> db(raw);
@@ -285,38 +278,21 @@ TEST_F(IteratorModelTest, DifferentialModel560Rounds) {
   const uint32_t base = BaseSeed();
   std::printf("iterator-model base seed: %u (ITER_MODEL_SEED overrides)\n",
               base);
-  Statistics per_config_stats[4];
   for (int i = 0; i < kSeeds; i++) {
     const uint32_t seed = base + static_cast<uint32_t>(i) * 7919u;
     std::string reference;
-    for (size_t c = 0; c < 4; c++) {
+    for (const Config& cfg : kConfigs) {
       std::string transcript;
-      RunRound(seed, kConfigs[c], &per_config_stats[c], &transcript);
+      RunRound(seed, cfg, &transcript);
       ASSERT_FALSE(testing::Test::HasFatalFailure())
-          << "seed=" << seed << " config=" << kConfigs[c].name;
-      if (c == 0) {
+          << "seed=" << seed << " config=" << cfg.name;
+      if (&cfg == &kConfigs[0]) {
         reference = std::move(transcript);
       } else {
         ASSERT_EQ(reference, transcript)
-            << "seed=" << seed << ": transcript of " << kConfigs[c].name
+            << "seed=" << seed << ": transcript of " << cfg.name
             << " differs from " << kConfigs[0].name;
       }
-    }
-  }
-  // The sorted-view configs must actually have exercised the view (builds
-  // after compactions, iterators reading through it), and the classic
-  // configs must never touch it.
-  for (size_t c = 0; c < 4; c++) {
-    if (kConfigs[c].sorted_views) {
-      EXPECT_GT(per_config_stats[c].Get(kSortedViewBuilds), 0u)
-          << kConfigs[c].name;
-      EXPECT_GT(per_config_stats[c].Get(kSortedViewUsed), 0u)
-          << kConfigs[c].name;
-    } else {
-      EXPECT_EQ(0u, per_config_stats[c].Get(kSortedViewBuilds))
-          << kConfigs[c].name;
-      EXPECT_EQ(0u, per_config_stats[c].Get(kSortedViewUsed))
-          << kConfigs[c].name;
     }
   }
 }

@@ -417,7 +417,7 @@ TEST(PerfContextUnitTest, ContextsAreThreadLocal) {
 TEST(PerfContextUnitTest, FieldRegistriesAndDumps) {
   const auto& counters = PerfContext::CounterFields();
   const auto& timers = PerfContext::TimerFields();
-  EXPECT_EQ(6u, counters.size());
+  EXPECT_EQ(4u, counters.size());
   EXPECT_EQ(4u, timers.size());
   for (const auto& f : counters) {
     EXPECT_EQ(0u, std::string(f.name).find("perf.")) << f.name;

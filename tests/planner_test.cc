@@ -2,8 +2,8 @@
 // label): LookupAnd and JoinOnAttribute must return BYTE-IDENTICAL results
 // — same keys, same sequence numbers, same values, same order — no matter
 // which physical plan executes them: forced intersect vs filter-fetch,
-// either drive side, read_parallelism 0 vs 4, sorted views on vs off, and
-// sharded {1,4} vs unsharded. Every configuration is also checked against
+// either drive side, read_parallelism 0 vs 4, and sharded {1,4} vs
+// unsharded. Every configuration is also checked against
 // an in-memory brute-force reference, so the matrix can't agree on a
 // mutually wrong answer.
 
@@ -148,7 +148,6 @@ struct PlanConfig {
   PlannerMode mode = PlannerMode::kAuto;
   PlannerDrive drive = PlannerDrive::kAuto;
   int read_parallelism = 0;
-  bool sorted_views = false;
   const char* name = "auto";
 };
 
@@ -162,7 +161,6 @@ class PlannerTest : public testing::TestWithParam<IndexType> {
     options.base.write_buffer_size = 32 << 10;
     options.base.max_file_size = 16 << 10;
     options.base.read_parallelism = cfg.read_parallelism;
-    options.base.sorted_views = cfg.sorted_views;
     options.index_type = GetParam();
     options.indexed_attributes = {"UserID", "CreationTime"};
     options.planner_mode = cfg.mode;
@@ -247,32 +245,33 @@ TEST_P(PlannerTest, ConjunctiveMatchesModelUnderEveryPlan) {
     baseline.push_back(std::move(results));
   }
 
-  // Every other configuration must be byte-identical to the baseline. The
-  // sorted-view config also fully compacts first, so LSM shape changes are
-  // covered by the same comparison.
+  // Every other configuration must be byte-identical to the baseline, and
+  // so must the default plan after a full compaction changes the LSM shape.
   const PlanConfig configs[] = {
-      {PlannerMode::kForceIntersect, PlannerDrive::kFirst, 0, false,
+      {PlannerMode::kForceIntersect, PlannerDrive::kFirst, 0,
        "intersect/drive-first"},
-      {PlannerMode::kForceIntersect, PlannerDrive::kSecond, 0, false,
+      {PlannerMode::kForceIntersect, PlannerDrive::kSecond, 0,
        "intersect/drive-second"},
-      {PlannerMode::kForceFilterFetch, PlannerDrive::kFirst, 0, false,
+      {PlannerMode::kForceFilterFetch, PlannerDrive::kFirst, 0,
        "filter-fetch/drive-first"},
-      {PlannerMode::kForceFilterFetch, PlannerDrive::kSecond, 0, false,
+      {PlannerMode::kForceFilterFetch, PlannerDrive::kSecond, 0,
        "filter-fetch/drive-second"},
-      {PlannerMode::kAuto, PlannerDrive::kAuto, 4, false, "parallelism-4"},
-      {PlannerMode::kAuto, PlannerDrive::kAuto, 0, true, "sorted-views"},
+      {PlannerMode::kAuto, PlannerDrive::kAuto, 4, "parallelism-4"},
+  };
+  auto expect_baseline = [&](const std::string& name) {
+    for (size_t i = 0; i < queries.size(); i++) {
+      ExpectSameResults(baseline[i], RunLookupAnd(queries[i]),
+                        name + " query " + std::to_string(i) + " type " +
+                            IndexTypeName(GetParam()));
+    }
   };
   for (const PlanConfig& cfg : configs) {
     Reopen(cfg);
-    if (cfg.sorted_views) {
-      ASSERT_TRUE(db_->CompactAll().ok());
-    }
-    for (size_t i = 0; i < queries.size(); i++) {
-      ExpectSameResults(baseline[i], RunLookupAnd(queries[i]),
-                        std::string(cfg.name) + " query " + std::to_string(i) +
-                            " type " + IndexTypeName(GetParam()));
-    }
+    expect_baseline(cfg.name);
   }
+  Reopen(PlanConfig{});
+  ASSERT_TRUE(db_->CompactAll().ok());
+  expect_baseline("compacted");
   EXPECT_GE(db_->TotalTicker(kIntersectPostingsScanned), 0u);
 }
 
@@ -432,62 +431,6 @@ TEST(PlannerUnitTest, OverridesForceBothDimensions) {
                StrategyName(ConjunctivePlan::Strategy::kIntersect));
   EXPECT_STREQ("filter-fetch",
                StrategyName(ConjunctivePlan::Strategy::kFilterFetch));
-}
-
-// ---- ROADMAP item-3 follow-up: Composite's posting scans engage the
-// index table's sorted view once one exists ----
-
-TEST(CompositeSortedViewTest, PostingScansEngageTheIndexSortedView) {
-  std::unique_ptr<Env> env(NewMemEnv());
-  for (bool views_on : {false, true}) {
-    SecondaryDBOptions options;
-    options.base.env = env.get();
-    options.base.write_buffer_size = 64 << 10;
-    // Floor the index table's level-1 budget at its 256KB minimum
-    // (OpenIndexTable takes max(base/8, 256KB)) so the workload below can
-    // actually outgrow L1.
-    options.base.max_bytes_for_level_base = 256 << 10;
-    options.base.sorted_views = views_on;
-    options.index_type = IndexType::kComposite;
-    options.indexed_attributes = {"UserID", "CreationTime"};
-    std::unique_ptr<SecondaryDB> db;
-    const std::string path = views_on ? "/cv_on" : "/cv_off";
-    ASSERT_TRUE(SecondaryDB::Open(options, path, &db).ok());
-    // A sorted view needs >= 2 populated levels below L0 on the INDEX
-    // table (a single sorted run is already a pre-merged view), and the
-    // index table's L1 budget floors at 256KB — so grow each per-attribute
-    // index past it through natural flush/compaction churn. CompactAll
-    // would collapse everything back into one level, defeating the test.
-    // Each per-attribute index table must outgrow its 256KB L1 budget
-    // (~14 bytes/row after prefix compression), so ~24k rows per index.
-    const int n = views_on ? 24000 : 600;
-    for (int i = 0; i < n; i++) {
-      // Distinct primary keys: overwrites would compact away to a tiny
-      // index that never outgrows L1.
-      ASSERT_TRUE(db->Put("k" + std::to_string(i),
-                          MakeDoc("user" + std::to_string(i % 10),
-                                  1000 + (i % 500), "v"))
-                      .ok());
-    }
-    ASSERT_TRUE(db->MaybeCompact().ok());
-    std::vector<QueryResult> results;
-    ASSERT_TRUE(db->Lookup("UserID", "user3", 0, &results).ok());
-    EXPECT_FALSE(results.empty());
-    ASSERT_TRUE(
-        db->RangeLookup("CreationTime", CTime(1100), CTime(1200), 0, &results)
-            .ok());
-    EXPECT_FALSE(results.empty());
-    if (views_on) {
-      EXPECT_GT(db->TotalTicker(kCompositeViewScans), 0u)
-          << "posting scans never engaged the sorted view"
-          << " (builds=" << db->TotalTicker(kSortedViewBuilds)
-          << " used=" << db->TotalTicker(kSortedViewUsed)
-          << " fallbacks=" << db->TotalTicker(kSortedViewFallbacks)
-          << " index_bytes=" << db->IndexSizeBytes() << ")";
-    } else {
-      EXPECT_EQ(0u, db->TotalTicker(kCompositeViewScans));
-    }
-  }
 }
 
 // ---- Sharded vs unsharded byte-identity for the new query surface ----

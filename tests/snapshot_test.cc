@@ -6,9 +6,6 @@
 // object); the crash suite proves that holding them never weakens the
 // durability of acknowledged writes, and that the extra key versions a
 // live snapshot pins into L0 files recover to plain newest-wins state.
-//
-// Every scenario runs with `sorted_views` off and on: the sorted-view
-// fast path must be invisible to snapshot semantics.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +23,7 @@ namespace {
 
 using crash::Op;
 
-class SnapshotTest : public testing::TestWithParam<bool> {
+class SnapshotTest : public testing::Test {
  protected:
   // Small enough that a few dozen keys cross flush and level boundaries.
   Options SmallOptions(Env* env) {
@@ -36,7 +33,6 @@ class SnapshotTest : public testing::TestWithParam<bool> {
     options.write_buffer_size = 4 << 10;
     options.max_file_size = 2 << 10;
     options.max_bytes_for_level_base = 1 << 10;
-    options.sorted_views = GetParam();
     return options;
   }
 
@@ -83,7 +79,7 @@ class SnapshotTest : public testing::TestWithParam<bool> {
   }
 };
 
-TEST_P(SnapshotTest, ExactPrefixAcrossFlush) {
+TEST_F(SnapshotTest, ExactPrefixAcrossFlush) {
   std::unique_ptr<Env> env(NewMemEnv());
   DBImpl* raw = nullptr;
   ASSERT_TRUE(DBImpl::Open(SmallOptions(env.get()), "/snap", &raw).ok());
@@ -119,7 +115,7 @@ TEST_P(SnapshotTest, ExactPrefixAcrossFlush) {
   ExpectSnapshotExact(db.get(), nullptr, model, "current, post-release");
 }
 
-TEST_P(SnapshotTest, ExactPrefixAcrossCompaction) {
+TEST_F(SnapshotTest, ExactPrefixAcrossCompaction) {
   std::unique_ptr<Env> env(NewMemEnv());
   DBImpl* raw = nullptr;
   ASSERT_TRUE(DBImpl::Open(SmallOptions(env.get()), "/snap", &raw).ok());
@@ -171,7 +167,7 @@ TEST_P(SnapshotTest, ExactPrefixAcrossCompaction) {
   ExpectSnapshotExact(db.get(), nullptr, model, "current, all released");
 }
 
-TEST_P(SnapshotTest, ExactPrefixAcrossIngestSplice) {
+TEST_F(SnapshotTest, ExactPrefixAcrossIngestSplice) {
   std::unique_ptr<Env> env(NewMemEnv());
   DBImpl* raw = nullptr;
   ASSERT_TRUE(DBImpl::Open(SmallOptions(env.get()), "/snap", &raw).ok());
@@ -211,7 +207,7 @@ TEST_P(SnapshotTest, ExactPrefixAcrossIngestSplice) {
   db->ReleaseSnapshot(snap);
 }
 
-TEST_P(SnapshotTest, IteratorPinsCreationStateWithoutExplicitSnapshot) {
+TEST_F(SnapshotTest, IteratorPinsCreationStateWithoutExplicitSnapshot) {
   std::unique_ptr<Env> env(NewMemEnv());
   DBImpl* raw = nullptr;
   ASSERT_TRUE(DBImpl::Open(SmallOptions(env.get()), "/snap", &raw).ok());
@@ -249,8 +245,7 @@ TEST_P(SnapshotTest, IteratorPinsCreationStateWithoutExplicitSnapshot) {
 // the handle). Recovery must yield exactly the acknowledged model: pinned
 // older versions flushed into L0 resolve newest-wins on reopen, and every
 // index variant's answers stay derivable from the recovered primary.
-TEST_P(SnapshotTest, CrashWithLiveSnapshotsRecoversAcknowledgedState) {
-  if (GetParam()) return;  // Index-table layout is identical; run once.
+TEST_F(SnapshotTest, CrashWithLiveSnapshotsRecoversAcknowledgedState) {
   std::vector<Op> ops;
   uint64_t ts = 7000;
   for (int i = 0; i < 260; i++) {
@@ -326,12 +321,6 @@ TEST_P(SnapshotTest, CrashWithLiveSnapshotsRecoversAcknowledgedState) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(HeapMergeAndSortedView, SnapshotTest,
-                         testing::Values(false, true),
-                         [](const testing::TestParamInfo<bool>& info) {
-                           return info.param ? "SortedViews" : "HeapMerge";
-                         });
 
 }  // namespace
 }  // namespace leveldbpp

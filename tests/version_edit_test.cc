@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/coding.h"
+
 namespace leveldbpp {
 
 static void TestEncodeDecode(const VersionEdit& edit) {
@@ -78,6 +80,47 @@ TEST(VersionEditTest, DecodeRejectsGarbage) {
   good.EncodeTo(&encoded);
   EXPECT_FALSE(
       edit.DecodeFrom(Slice(encoded.data(), encoded.size() - 3)).ok());
+}
+
+TEST(VersionEditTest, DecodeIgnoresRetiredSortedViewTag) {
+  // Older versions recorded their sorted-view artifact under tag 8. Such a
+  // record still decodes, and every other field keeps its value.
+  VersionEdit edit;
+  edit.SetLogNumber(11);
+  edit.SetNextFile(22);
+  FileMetaData meta;
+  meta.number = 5;
+  meta.file_size = 66;
+  meta.smallest = InternalKey("a", 1, kTypeValue);
+  meta.largest = InternalKey("m", 2, kTypeValue);
+  edit.AddFile(2, meta);
+  std::string head;
+  edit.EncodeTo(&head);
+
+  VersionEdit tail_edit;
+  tail_edit.SetLastSequence(33);
+  std::string tail;
+  tail_edit.EncodeTo(&tail);
+
+  std::string record = head;
+  PutVarint32(&record, 8);
+  PutVarint64(&record, 123);
+  record += tail;
+
+  VersionEdit parsed;
+  Status s = parsed.DecodeFrom(record);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  VersionEdit want = edit;
+  want.SetLastSequence(33);
+  std::string want_encoded, got_encoded;
+  want.EncodeTo(&want_encoded);
+  parsed.EncodeTo(&got_encoded);
+  EXPECT_EQ(want_encoded, got_encoded);
+
+  // The tag's varint is still required.
+  std::string truncated = head;
+  PutVarint32(&truncated, 8);
+  EXPECT_FALSE(parsed.DecodeFrom(truncated).ok());
 }
 
 }  // namespace leveldbpp
