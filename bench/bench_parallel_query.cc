@@ -5,7 +5,8 @@
 // strictly sequential read path (our read_parallelism = 0 mode, which stays
 // the default and byte-for-byte identical to the paper's algorithms). It
 // quantifies the opt-in fan-out: Lazy / Eager / Composite resolve their
-// index candidates through batched MultiGet probe groups, Embedded reads
+// index candidates through batched MultiGet (sorted key runs on the read
+// pool, each key by Get's residence walk), Embedded reads
 // and pre-filters its candidate blocks concurrently. Every parallel run is
 // checked against the sequential run's results (hash over primary keys,
 // sequence numbers and values) — the speedup must come with byte-identical

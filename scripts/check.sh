@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 # tests. And the newest-first admission tests (*NewestFirst*): the Embedded
 # scan holds records as slices into blocks its pool tasks decoded until the
 # calling thread admits them.
-SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList|NewestFirst"
+SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList|NewestFirst|ShardedDBTest.ParallelReadsMatchUnsharded"
 if [[ "${1:-}" == "--sanitize-all" || "${1:-}" == "--tsan-all" ]]; then
   SAN_FILTER=""
 fi

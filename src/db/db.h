@@ -76,13 +76,12 @@ class DB {
   /// Batched point lookup: for each keys[i], (*values)[i] and
   /// (*statuses)[i] receive what Get(options, keys[i], &value) would have
   /// produced, against one consistent snapshot of the store. Returns the
-  /// first per-key error that is not NotFound (OK otherwise). The base
-  /// implementation is a plain Get loop; DBImpl batches table probes and,
-  /// with Options::read_parallelism > 1, fans them out in parallel.
+  /// first per-key error that is not NotFound (OK otherwise). With
+  /// Options::read_parallelism > 1 the keys are resolved in parallel.
   virtual Status MultiGet(const ReadOptions& options,
                           const std::vector<Slice>& keys,
                           std::vector<std::string>* values,
-                          std::vector<Status>* statuses);
+                          std::vector<Status>* statuses) = 0;
 
   /// Heap-allocated bidirectional iterator over the DB's user keys (newest
   /// visible version of each key; deletions hidden). Caller owns it and

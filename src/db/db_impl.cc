@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <vector>
 
 #include "db/builder.h"
@@ -75,23 +74,6 @@ Options SanitizeOptions(const InternalKeyComparator* icmp,
 DB::~DB() = default;
 
 Snapshot::~Snapshot() = default;
-
-Status DB::MultiGet(const ReadOptions& options, const std::vector<Slice>& keys,
-                    std::vector<std::string>* values,
-                    std::vector<Status>* statuses) {
-  // Default: a plain Get loop. DBImpl overrides this with the batched,
-  // optionally parallel implementation.
-  values->assign(keys.size(), std::string());
-  statuses->assign(keys.size(), Status::OK());
-  Status result;
-  for (size_t i = 0; i < keys.size(); i++) {
-    (*statuses)[i] = Get(options, keys[i], &(*values)[i]);
-    if (result.ok() && !(*statuses)[i].ok() && !(*statuses)[i].IsNotFound()) {
-      result = (*statuses)[i];
-    }
-  }
-  return result;
-}
 
 DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
     : env_(raw_options.env != nullptr ? raw_options.env : Env::Posix()),
@@ -1796,21 +1778,10 @@ Status DBImpl::GetWithMeta(const ReadOptions& options, const Slice& key,
   Status s;
   if (view.GetFromMemTables(key, value, loc, &s)) return s;
   LookupKey lkey(key, view.snapshot);
-  return view.current->Get(options, lkey, value, &loc->seq, &loc->level);
+  TablePins pins(table_cache_.get());
+  return view.current->Get(options, lkey, &pins, value, &loc->seq,
+                           &loc->level);
 }
-
-namespace {
-
-// Sub-task size when splitting a level's per-file probe groups: aim for ~2
-// tasks per executor so the barrier stays balanced. In sequential mode one
-// chunk per group (ParallelRun inlines the tasks in order regardless).
-size_t SplitGroupSize(size_t total_probes, int read_parallelism) {
-  if (read_parallelism <= 1) return std::max<size_t>(total_probes, 1);
-  return std::max<size_t>(
-      1, total_probes / (static_cast<size_t>(read_parallelism) * 2));
-}
-
-}  // namespace
 
 Status DBImpl::MultiGet(const ReadOptions& options,
                         const std::vector<Slice>& keys,
@@ -1842,9 +1813,9 @@ Status DBImpl::MultiGetWithMeta(const ReadOptions& options,
   const Comparator* ucmp = internal_comparator_.user_comparator();
 
   // Keys the memtables answer never touch disk (pure in-memory work, so
-  // sequential); the rest go to disk sorted by user key so that grouping
-  // and the per-table probe order are deterministic regardless of caller
-  // order.
+  // sequential). The rest are sorted by user key, so that each run below
+  // meets its tables in order and the probe order does not depend on the
+  // caller's key order.
   std::vector<size_t> pending;
   pending.reserve(n);
   for (size_t i = 0; i < n; i++) {
@@ -1859,90 +1830,30 @@ Status DBImpl::MultiGetWithMeta(const ReadOptions& options,
     return a < b;  // Duplicate keys keep caller order
   });
 
-  std::vector<std::unique_ptr<LookupKey>> lkeys(n);
-  for (size_t i : pending) {
-    lkeys[i] = std::make_unique<LookupKey>(keys[i], view.snapshot);
+  // Every key is resolved by Get's own walk (Version::Get), so a batch
+  // reads exactly the blocks a loop of Gets would. The sorted keys are cut
+  // into runs of about two per executor (one run when sequential); a run
+  // shares one TablePins, so each table is pinned once per run. The run
+  // length rounds down: a batch that does not divide evenly gets more,
+  // shorter runs, which the pool's work-sharing balances better.
+  const size_t runs = options_.read_parallelism > 1
+                          ? 2 * static_cast<size_t>(options_.read_parallelism)
+                          : 1;
+  const size_t per_task = std::max<size_t>(1, pending.size() / runs);
+  std::vector<std::function<void()>> tasks;
+  for (size_t begin = 0; begin < pending.size(); begin += per_task) {
+    const size_t end = std::min(pending.size(), begin + per_task);
+    tasks.push_back([&, begin, end]() {
+      TablePins pins(table_cache_.get());
+      for (size_t j = begin; j < end; j++) {
+        const size_t i = pending[j];
+        LookupKey lkey(keys[i], view.snapshot);
+        (*statuses)[i] = view.current->Get(options, lkey, &pins, &(*values)[i],
+                                           &(*locs)[i].seq, &(*locs)[i].level);
+      }
+    });
   }
-
-  // One level at a time, with a barrier between levels: every pending key's
-  // probes at this level (FilesForKey: each overlapping L0 file, or the one
-  // candidate file below) are grouped per table file — the table pinned
-  // once per group — and run, possibly in parallel; only then is each key
-  // resolved, newest file first, by Get's rule (KeyProbe::Settles). The
-  // barrier keeps the newest-residence-wins rule exact: no key consults
-  // level L+1 until every probe at level L has reported.
-  struct ProbeGroup {
-    FileMetaData* f = nullptr;
-    std::vector<std::pair<size_t, KeyProbe*>> probes;  // (key idx, slot)
-  };
-  std::vector<FileMetaData*> files;
-  for (int level = 0; level < view.current->NumLevels() && !pending.empty();
-       level++) {
-    if (view.current->NumFiles(level) == 0) continue;
-    std::deque<KeyProbe> slots;  // Stable addresses while groups point in
-    std::vector<std::vector<KeyProbe*>> key_probes(n);  // Newest first
-    std::map<uint64_t, ProbeGroup> groups;
-    size_t total_probes = 0;
-    for (size_t i : pending) {
-      view.current->FilesForKey(level, *lkeys[i], &files);
-      for (FileMetaData* f : files) {
-        slots.emplace_back(ucmp, keys[i]);
-        key_probes[i].push_back(&slots.back());
-        ProbeGroup& g = groups[f->number];
-        g.f = f;
-        g.probes.emplace_back(i, &slots.back());
-        total_probes++;
-      }
-    }
-    if (groups.empty()) continue;
-
-    // Probes are independent point gets writing disjoint slots, so a big
-    // group is further split across tasks: secondary-index candidates
-    // cluster heavily (one user's records usually live in one or two
-    // tables), and an unsplit group would serialize them behind a single
-    // executor while the rest of the pool idles.
-    const size_t per_task =
-        SplitGroupSize(total_probes, options_.read_parallelism);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(groups.size());
-    for (auto& entry : groups) {
-      const ProbeGroup* g = &entry.second;
-      for (size_t begin = 0; begin < g->probes.size(); begin += per_task) {
-        const size_t end = std::min(g->probes.size(), begin + per_task);
-        tasks.push_back([this, g, begin, end, &options, &lkeys]() {
-          Table* t = nullptr;
-          Cache::Handle* h = nullptr;
-          Status ts = table_cache_->Pin(g->f->number, g->f->file_size, &t, &h);
-          for (size_t j = begin; j < end; j++) {
-            const auto& [i, probe] = g->probes[j];
-            probe->io = ts.ok() ? t->InternalGet(options,
-                                                 lkeys[i]->internal_key(),
-                                                 probe, &KeyProbe::Save)
-                                : ts;
-          }
-          if (h != nullptr) table_cache_->Unpin(h);
-        });
-      }
-    }
-    ParallelRun(&tasks, options_.read_parallelism, stats);
-
-    std::vector<size_t> still;
-    for (size_t i : pending) {
-      bool settled = false;
-      for (KeyProbe* probe : key_probes[i]) {
-        settled = probe->Settles(options_.paranoid_checks, &(*statuses)[i]);
-        if (!settled) continue;
-        if ((*statuses)[i].ok()) {
-          (*values)[i].swap(probe->value);
-          (*locs)[i].seq = probe->seq;
-          (*locs)[i].level = level;
-        }
-        break;
-      }
-      if (!settled) still.push_back(i);
-    }
-    pending.swap(still);
-  }
+  ParallelRun(&tasks, options_.read_parallelism, stats);
 
   // Keys never found anywhere keep their initial NotFound status. The
   // aggregate result is the first (in caller order) non-NotFound error.
@@ -1976,19 +1887,20 @@ Status DBImpl::IsNewestVersion(const ReadView& view, const Slice& key,
   // files with a higher file number; for a level-i record, all of L0 plus
   // levels 1..i-1. The first version the walk finds is the newest.
   LookupKey lkey(key, view.snapshot);
+  TablePins pins(table_cache_.get());
   return view.current->WalkResidences(
-      ReadOptions(), lkey, std::max(record_level, 1),
+      ReadOptions(), lkey, std::max(record_level, 1), &pins,
       [&](int level, FileMetaData* f) {
         if (level == 0 && record_level == 0 && f->number <= record_file) {
           return true;
         }
         // Metadata-only probe first (this is the GetLite saving). A table
         // that fails to open is left to the probe, which reports it.
-        bool may_exist = true;
-        table_cache_->WithTable(f->number, f->file_size, [&](Table* t) {
-          may_exist = t->KeyMayExistNoIO(lkey.internal_key());
-        });
-        if (!may_exist) return true;
+        Table* t = nullptr;
+        if (pins.Find(f->number, f->file_size, &t).ok() &&
+            !t->KeyMayExistNoIO(lkey.internal_key())) {
+          return true;
+        }
         // Bloom positive: confirming bounded read of one block.
         if (stats != nullptr) stats->Record(kGetLiteConfirmReads);
         return false;
@@ -2017,8 +1929,9 @@ Status DBImpl::GetFragments(
   // stay stable whether or not an imm is queued.
   const int disk_rank = std::max<int>(2, static_cast<int>(view.mems.size()));
   LookupKey lkey(key, view.snapshot);
+  TablePins pins(table_cache_.get());
   return view.current->WalkResidences(
-      options, lkey, view.current->NumLevels(), nullptr,
+      options, lkey, view.current->NumLevels(), &pins, nullptr,
       [&](int level, KeyProbe& probe) {
         return fn(disk_rank + level, probe.seq,
                   probe.state == KeyProbe::kDeleted, Slice(probe.value));

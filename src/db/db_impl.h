@@ -73,11 +73,10 @@ class DBImpl : public DB {
   Status Write(const WriteOptions& options, WriteBatch* updates) override;
   Status Get(const ReadOptions& options, const Slice& key,
              std::string* value) override;
-  /// Batched Get: one ReadView for the whole batch, keys
-  /// grouped by SSTable within each level (each table resolved and pinned
-  /// once per group), groups dispatched onto the shared read pool when
-  /// Options::read_parallelism > 1. Level boundaries are barriers, so the
-  /// newest-residence-wins rule is exactly Get's.
+  /// Batched Get: one ReadView for the whole batch, each key resolved by
+  /// Get's own residence walk. The keys go to disk sorted, in runs that
+  /// each pin a table once; with Options::read_parallelism > 1 the runs
+  /// are dispatched onto the shared read pool.
   Status MultiGet(const ReadOptions& options, const std::vector<Slice>& keys,
                   std::vector<std::string>* values,
                   std::vector<Status>* statuses) override;
@@ -149,7 +148,7 @@ class DBImpl : public DB {
   Status GetWithMeta(const ReadOptions& options, const Slice& key,
                      std::string* value, RecordLocation* loc);
 
-  /// Batched GetWithMeta (same grouping/parallelism as MultiGet). The
+  /// Batched GetWithMeta (same runs and parallelism as MultiGet). The
   /// stand-alone indexes' batched candidate resolution is built on this.
   Status MultiGetWithMeta(const ReadOptions& options,
                           const std::vector<Slice>& keys,

@@ -99,34 +99,6 @@ Iterator* TableCache::NewIterator(const ReadOptions& options,
   return result;
 }
 
-Status TableCache::Get(const ReadOptions& options, uint64_t file_number,
-                       uint64_t file_size, const Slice& k, void* arg,
-                       void (*handle_result)(void*, const Slice&,
-                                             const Slice&)) {
-  Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
-  if (s.ok()) {
-    Table* t =
-        reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table.get();
-    s = t->InternalGet(options, k, arg, handle_result);
-    cache_->Release(handle);
-  }
-  return s;
-}
-
-Status TableCache::WithTable(uint64_t file_number, uint64_t file_size,
-                             const std::function<void(Table*)>& fn) {
-  Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
-  if (s.ok()) {
-    Table* t =
-        reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table.get();
-    fn(t);
-    cache_->Release(handle);
-  }
-  return s;
-}
-
 Status TableCache::Pin(uint64_t file_number, uint64_t file_size,
                        Table** table, Cache::Handle** handle) {
   *table = nullptr;
@@ -145,6 +117,26 @@ void TableCache::Evict(uint64_t file_number) {
   char buf[sizeof(file_number)];
   EncodeFixed64(buf, file_number);
   cache_->Erase(Slice(buf, sizeof(buf)));
+}
+
+TablePins::~TablePins() {
+  for (const Pinned& p : pinned_) cache_->Unpin(p.handle);
+}
+
+Status TablePins::Find(uint64_t file_number, uint64_t file_size,
+                       Table** table) {
+  // A run of sorted keys keeps returning to the tables it pinned last.
+  for (auto it = pinned_.rbegin(); it != pinned_.rend(); ++it) {
+    if (it->file_number == file_number) {
+      *table = it->table;
+      return Status::OK();
+    }
+  }
+  Pinned p{file_number, nullptr, nullptr};
+  Status s = cache_->Pin(file_number, file_size, &p.table, &p.handle);
+  if (s.ok()) pinned_.push_back(p);
+  *table = p.table;
+  return s;
 }
 
 }  // namespace leveldbpp

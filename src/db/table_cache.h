@@ -14,6 +14,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "cache/cache.h"
 #include "db/options.h"
@@ -39,20 +40,9 @@ class TableCache {
   Iterator* NewIterator(const ReadOptions& options, uint64_t file_number,
                         uint64_t file_size, Table** tableptr = nullptr);
 
-  /// If a seek to internal key `k` in the specified file finds an entry,
-  /// call (*handle_result)(arg, found_key, found_value).
-  Status Get(const ReadOptions& options, uint64_t file_number,
-             uint64_t file_size, const Slice& k, void* arg,
-             void (*handle_result)(void*, const Slice&, const Slice&));
-
-  /// Access the opened Table for a file via `fn`; the table stays pinned
-  /// for the duration of the call. Used by the embedded-index block scans.
-  Status WithTable(uint64_t file_number, uint64_t file_size,
-                   const std::function<void(Table*)>& fn);
-
   /// Explicitly pin the opened Table for a file: *table stays valid until
-  /// the returned handle is passed to Unpin. Used where one pin must span a
-  /// multi-table batch (MultiGet probe groups, embedded bucket scans).
+  /// the returned handle is passed to Unpin. TablePins holds its pins this
+  /// way; the embedded index's bucket scans pin each bucket's files.
   Status Pin(uint64_t file_number, uint64_t file_size, Table** table,
              Cache::Handle** handle);
   void Unpin(Cache::Handle* handle);
@@ -78,6 +68,34 @@ class TableCache {
   std::mutex open_mu_;
   std::condition_variable opened_cv_;
   std::set<uint64_t> opening_;
+};
+
+/// The tables one read has pinned. Find pins a file's table on first use
+/// and every table stays pinned until the set is destroyed, so a point
+/// read takes one table-cache reference per file it probes, and a MultiGet
+/// run of sorted keys one per file for the whole run. Not thread-safe: one
+/// set per task.
+class TablePins {
+ public:
+  explicit TablePins(TableCache* cache) : cache_(cache) {}
+  ~TablePins();
+
+  TablePins(const TablePins&) = delete;
+  TablePins& operator=(const TablePins&) = delete;
+
+  /// Set *table to the open table for the file, pinned until this set is
+  /// destroyed. A failed open is returned and not remembered.
+  Status Find(uint64_t file_number, uint64_t file_size, Table** table);
+
+ private:
+  struct Pinned {
+    uint64_t file_number;
+    Table* table;
+    Cache::Handle* handle;
+  };
+
+  TableCache* const cache_;
+  std::vector<Pinned> pinned_;  // Searched from the most recent pin back
 };
 
 }  // namespace leveldbpp

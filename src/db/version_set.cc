@@ -292,7 +292,7 @@ void Version::FilesForKey(int level, const LookupKey& k,
 
 Status Version::WalkResidences(
     const ReadOptions& options, const LookupKey& k, int end_level,
-    const std::function<bool(int, FileMetaData*)>& skip,
+    TablePins* pins, const std::function<bool(int, FileMetaData*)>& skip,
     const std::function<bool(int, KeyProbe&)>& on_hit) {
   const Comparator* ucmp = vset_->icmp_.user_comparator();
   const bool paranoid = vset_->options_->paranoid_checks;
@@ -303,9 +303,12 @@ Status Version::WalkResidences(
     for (FileMetaData* f : files) {
       if (skip && skip(level, f)) continue;
       KeyProbe probe(ucmp, k.user_key());
-      probe.io = vset_->table_cache_->Get(options, f->number, f->file_size,
-                                          k.internal_key(), &probe,
-                                          &KeyProbe::Save);
+      Table* t = nullptr;
+      probe.io = pins->Find(f->number, f->file_size, &t);
+      if (probe.io.ok()) {
+        probe.io = t->InternalGet(options, k.internal_key(), &probe,
+                                  &KeyProbe::Save);
+      }
       Status s;
       if (!probe.Settles(paranoid, &s)) continue;
       if (!probe.hit()) return s;
@@ -316,10 +319,10 @@ Status Version::WalkResidences(
 }
 
 Status Version::Get(const ReadOptions& options, const LookupKey& k,
-                    std::string* value, SequenceNumber* seq_out,
-                    int* level_out) {
+                    TablePins* pins, std::string* value,
+                    SequenceNumber* seq_out, int* level_out) {
   Status result = Status::NotFound(Slice());
-  Status s = WalkResidences(options, k, NumLevels(), nullptr,
+  Status s = WalkResidences(options, k, NumLevels(), pins, nullptr,
                             [&](int level, KeyProbe& probe) {
                               if (probe.state == KeyProbe::kFound) {
                                 value->swap(probe.value);

@@ -48,8 +48,8 @@ bool SomeFileOverlapsRange(const InternalKeyComparator& icmp,
                            const Slice* largest_user_key);
 
 /// The outcome of probing one table file for one user key: the engine's
-/// only Table::InternalGet saver, shared by the residence walk and
-/// MultiGet's batched probes.
+/// only Table::InternalGet saver. Version::WalkResidences settles every
+/// point read's disk probes with it, MultiGet's included.
 struct KeyProbe {
   enum State { kNotFound, kFound, kDeleted, kCorrupt };
 
@@ -92,27 +92,24 @@ class Version {
   /// value, stores it; if it is a deletion, returns NotFound.
   /// `seq_out`/`level_out` optionally receive the sequence number and
   /// level of the winning entry.
-  Status Get(const ReadOptions&, const LookupKey& key, std::string* val,
-             SequenceNumber* seq_out = nullptr, int* level_out = nullptr);
+  /// Tables are probed through `pins`.
+  Status Get(const ReadOptions&, const LookupKey& key, TablePins* pins,
+             std::string* val, SequenceNumber* seq_out = nullptr,
+             int* level_out = nullptr);
 
   /// The one residence walk behind every point read of this version:
   /// visits the files that may hold k's user key, newest residence first
-  /// (FilesForKey at level 0, 1, ..., end_level - 1), probes each into a
-  /// KeyProbe and settles it with KeyProbe::Settles. A hit (a value or a deletion) goes
-  /// to on_hit(level, probe), which returns false to stop the walk; a
-  /// settling error ends the walk and is returned. `skip(level, file)`,
-  /// when given, is asked first and returning true passes over that file
-  /// without probing it (GetLite's metadata-only filter).
+  /// (FilesForKey at level 0, 1, ..., end_level - 1), probes each through
+  /// `pins` into a KeyProbe and settles it with KeyProbe::Settles. A hit (a
+  /// value or a deletion) goes to on_hit(level, probe), which returns false
+  /// to stop the walk; a settling error ends the walk and is returned.
+  /// `skip(level, file)`, when given, is asked first and returning true
+  /// passes over that file without probing it (GetLite's metadata-only
+  /// filter, which reads the table through the same `pins`).
   Status WalkResidences(
-      const ReadOptions&, const LookupKey& k, int end_level,
+      const ReadOptions&, const LookupKey& k, int end_level, TablePins* pins,
       const std::function<bool(int, FileMetaData*)>& skip,
       const std::function<bool(int, KeyProbe&)>& on_hit);
-
-  /// Replace *out with the files at `level` that may hold k's user key,
-  /// newest first: every L0 file whose range covers it (descending file
-  /// number), or at a level >= 1 the single file FindFile lands on.
-  void FilesForKey(int level, const LookupKey& k,
-                   std::vector<FileMetaData*>* out) const;
 
   void Ref();
   void Unref();
@@ -150,6 +147,12 @@ class Version {
 
   Version(const Version&) = delete;
   Version& operator=(const Version&) = delete;
+
+  /// Replace *out with the files at `level` that may hold k's user key,
+  /// newest first: every L0 file whose range covers it (descending file
+  /// number), or at a level >= 1 the single file FindFile lands on.
+  void FilesForKey(int level, const LookupKey& k,
+                   std::vector<FileMetaData*>* out) const;
 
   VersionSet* vset_;  // VersionSet to which this Version belongs
   Version* next_;     // Next version in linked list

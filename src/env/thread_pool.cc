@@ -20,9 +20,9 @@ bool SpinUseful() {
 }
 
 // How long an idle worker polls for new work before parking on the condvar.
-// Back-to-back ParallelRun regions (one per level barrier, one per MultiGet
-// chunk) arrive well inside this window, so steady-state dispatch costs a
-// single atomic load instead of a condvar wake.
+// Back-to-back ParallelRun regions (a shard fan-out, then each shard's
+// MultiGet runs) arrive well inside this window, so steady-state dispatch
+// costs a single atomic load instead of a condvar wake.
 constexpr auto kIdleSpin = std::chrono::microseconds(100);
 
 }  // namespace

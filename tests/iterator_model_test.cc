@@ -8,10 +8,9 @@
 // Every seed runs under TWO configurations — read_parallelism 0 and 4 — in
 // lockstep against the model, and the two per-seed transcripts must be
 // byte-identical: the parallel read path is a pure optimization. 140 seeds
-// x 2 configs = 280 randomized rounds (the test name keeps the count from
-// when a second read engine doubled the configs). The repro seed is
-// printed at start and attached to every assertion; override with the
-// ITER_MODEL_SEED env var.
+// x 2 configs = 280 randomized rounds. The repro seed is printed at start
+// and attached to every assertion; override with the ITER_MODEL_SEED env
+// var.
 
 #include <gtest/gtest.h>
 
@@ -274,7 +273,7 @@ class IteratorModelTest : public testing::Test {
   }
 };
 
-TEST_F(IteratorModelTest, DifferentialModel560Rounds) {
+TEST_F(IteratorModelTest, DifferentialModel280Rounds) {
   const uint32_t base = BaseSeed();
   std::printf("iterator-model base seed: %u (ITER_MODEL_SEED overrides)\n",
               base);

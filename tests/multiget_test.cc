@@ -1,7 +1,7 @@
 // DBImpl::MultiGet: batched point lookups must answer exactly like a loop
-// of Get() calls — status, value and record location, across memtable /
-// immutable memtable / L0 / deeper levels, through deletes, overwrites,
-// snapshots and corrupt keys, at every read_parallelism — and the
+// of Get() calls — status, value, record location and blocks read, across
+// memtable / immutable memtable / L0 / deeper levels, through deletes,
+// overwrites, snapshots and corrupt keys, at every read_parallelism — and the
 // TableCache open path must stay single-flight when concurrent readers
 // miss on the same cold file. ImmQueueReadTest drives every read surface
 // over a deep queue of immutable memtables.
@@ -135,8 +135,15 @@ class CountingEnv : public Env {
   std::map<std::string, int> opens_;
 };
 
+uint64_t BlockReads(DBImpl* db) {
+  return db->statistics() != nullptr ? db->statistics()->Get(kBlockRead) : 0;
+}
+
 // Batched and single-key reads must agree per key on the status (errors
-// included), the value and where the record was found.
+// included), the value and where the record was found. With statistics on,
+// the batch must also read exactly the blocks the Get loop reads. The first
+// batch opens every table either side probes, so the Get loop and the
+// second batch both count block reads against warm tables.
 void CheckMultiGetMatchesGet(DBImpl* db,
                              const std::vector<std::string>& key_strs,
                              const ReadOptions& read_options) {
@@ -150,6 +157,7 @@ void CheckMultiGetMatchesGet(DBImpl* db,
   ASSERT_EQ(keys.size(), locs.size());
   ASSERT_EQ(keys.size(), statuses.size());
   bool any_error = false;
+  const uint64_t get_reads_before = BlockReads(db);
   for (size_t i = 0; i < keys.size(); i++) {
     std::string expected;
     DBImpl::RecordLocation loc;
@@ -163,6 +171,10 @@ void CheckMultiGetMatchesGet(DBImpl* db,
     any_error |= (!statuses[i].ok() && !statuses[i].IsNotFound());
   }
   ASSERT_EQ(any_error, !s.ok());
+  const uint64_t get_reads = BlockReads(db) - get_reads_before;
+  db->MultiGetWithMeta(read_options, keys, &values, &locs, &statuses);
+  EXPECT_EQ(get_reads, BlockReads(db) - get_reads_before - get_reads)
+      << "block reads of the batch against the Get loop";
 }
 
 }  // namespace
@@ -345,12 +357,37 @@ TEST_F(MultiGetTest, UnparseableKeyMatchesGet) {
   }
 }
 
+// A key written into two overlapping L0 files settles in the newer one: a
+// one-key batch, like Get, must not read the older file's block too.
+TEST_F(MultiGetTest, OneKeyBatchReadsLikeGet) {
+  Options options = BaseOptions();
+  options.read_parallelism = 0;
+  Open(options);
+  for (int version : {1, 2}) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), Key(0), Value(0, version)).ok());
+    ASSERT_TRUE(db_->Put(WriteOptions(), Key(9), Value(9, version)).ok());
+    ASSERT_TRUE(db_->Write(WriteOptions(), nullptr).ok());  // One L0 file
+  }
+  std::string l0;
+  ASSERT_TRUE(db_->GetProperty("leveldbpp.num-files-at-level0", &l0));
+  ASSERT_EQ("2", l0);
+
+  std::string value;
+  DBImpl::RecordLocation loc;
+  ASSERT_TRUE(db_->GetWithMeta(ReadOptions(), Key(0), &value, &loc).ok());
+  EXPECT_EQ(Value(0, 2), value);
+  const uint64_t before = stats_.Get(kBlockRead);
+  ASSERT_TRUE(db_->GetWithMeta(ReadOptions(), Key(0), &value, &loc).ok());
+  EXPECT_EQ(1u, stats_.Get(kBlockRead) - before);
+  CheckMultiGetMatchesGet({Key(0)});
+}
+
 TEST_F(MultiGetTest, RecordsTickers) {
   Options options = BaseOptions();
   options.read_parallelism = 2;
   // The tiny JSON values compress so well that a compacted level can fit in
-  // ONE table file, which would leave nothing to fan out over. Force several
-  // files so the batch really spans multiple probe groups.
+  // ONE table file. Force several files so the batch really spans several
+  // tables.
   options.compression = kNoCompression;
   options.max_file_size = 4 << 10;
   Open(options);
@@ -358,8 +395,7 @@ TEST_F(MultiGetTest, RecordsTickers) {
   ASSERT_TRUE(db_->CompactAll().ok());
 
   stats_.Reset();
-  // Step across the whole key space so the batch spans several SSTables
-  // (one probe group each).
+  // Step across the whole key space so the batch spans several SSTables.
   std::vector<std::string> key_strs;
   for (int i = 0; i < 600; i += 12) key_strs.push_back(Key(i));
   std::vector<Slice> keys(key_strs.begin(), key_strs.end());
@@ -368,8 +404,8 @@ TEST_F(MultiGetTest, RecordsTickers) {
   ASSERT_TRUE(db_->MultiGet(ReadOptions(), keys, &values, &statuses).ok());
   EXPECT_EQ(1u, stats_.Get(kMultiGetBatches));
   EXPECT_EQ(key_strs.size(), stats_.Get(kMultiGetKeys));
-  // With everything compacted below L0 and parallelism 2, at least one
-  // probe group should have run on a pool worker.
+  // With parallelism 2 the sorted keys are cut into four runs, and at least
+  // one of them should have run on a pool worker.
   EXPECT_GT(stats_.Get(kParallelTasks), 0u);
 }
 

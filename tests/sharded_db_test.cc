@@ -171,6 +171,36 @@ TEST(ShardedDBTest, InlineFanoutIsEquivalentToo) {
   CompareStores(reference.get(), sharded.get(), "inline fanout");
 }
 
+// The served configuration: each shard validates candidates in parallel
+// (read_parallelism > 1, batched through MultiGet) inside the parallel shard
+// fan-out. The answers must still match one sequential unsharded store.
+TEST(ShardedDBTest, ParallelReadsMatchUnsharded) {
+  const std::vector<crash::Op> ops = MakeWorkload();
+  for (IndexType type :
+       {IndexType::kLazy, IndexType::kEager, IndexType::kComposite}) {
+    std::unique_ptr<Env> ref_env(NewMemEnv());
+    std::unique_ptr<SecondaryDB> reference;
+    ASSERT_TRUE(SecondaryDB::Open(TestShardOptions(ref_env.get(), type),
+                                  "/ref", &reference)
+                    .ok());
+    ApplyUnsharded(reference.get(), ops);
+
+    const std::string trace =
+        std::string(IndexTypeName(type)) + " N=2 read_parallelism=2";
+    std::unique_ptr<Env> env(NewMemEnv());
+    ShardedDBOptions options;
+    options.shard = TestShardOptions(env.get(), type);
+    options.shard.base.read_parallelism = 2;
+    options.num_shards = 2;
+    std::unique_ptr<ShardedDB> sharded;
+    ASSERT_TRUE(ShardedDB::Open(options, "/sharded", &sharded).ok()) << trace;
+    ApplySharded(sharded.get(), ops);
+    CompareStores(reference.get(), sharded.get(), trace);
+    ASSERT_TRUE(sharded->CompactAll().ok()) << trace;
+    CompareStores(reference.get(), sharded.get(), trace + " compacted");
+  }
+}
+
 // Like crash::PutOp but with incompressible padding: SimpleLZ squashes a
 // constant-character pad to a few bytes, so docs padded with 'p' runs never
 // grow the on-disk levels past max_bytes_for_level_base no matter how many

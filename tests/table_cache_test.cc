@@ -52,13 +52,16 @@ TEST_F(TableCacheTest, IterateAndGet) {
     bool found = false;
     std::string value;
   } result;
-  ASSERT_TRUE(cache_
-                  ->Get(ReadOptions(), 7, size, "hello", &result,
-                        [](void* arg, const Slice&, const Slice& v) {
-                          auto* r = reinterpret_cast<Result*>(arg);
-                          r->found = true;
-                          r->value = v.ToString();
-                        })
+  TablePins pins(cache_.get());
+  Table* table = nullptr;
+  ASSERT_TRUE(pins.Find(7, size, &table).ok());
+  ASSERT_TRUE(table
+                  ->InternalGet(ReadOptions(), "hello", &result,
+                                [](void* arg, const Slice&, const Slice& v) {
+                                  auto* r = reinterpret_cast<Result*>(arg);
+                                  r->found = true;
+                                  r->value = v.ToString();
+                                })
                   .ok());
   EXPECT_TRUE(result.found);
   EXPECT_EQ("world", result.value);
@@ -71,17 +74,29 @@ TEST_F(TableCacheTest, MissingFileReportsError) {
   EXPECT_FALSE(it->Valid());
 }
 
-TEST_F(TableCacheTest, WithTablePinsForCallDuration) {
+// A pin set opens each file once and keeps its table alive until the set
+// is destroyed, even after the cache entry is evicted and the file deleted.
+TEST_F(TableCacheTest, TablePinsHoldUntilDestroyed) {
   uint64_t size = WriteTable(3, "a", "b");
-  bool called = false;
-  ASSERT_TRUE(cache_
-                  ->WithTable(3, size,
-                              [&](Table* t) {
-                                called = true;
-                                EXPECT_EQ(1u, t->NumDataBlocks());
-                              })
-                  .ok());
-  EXPECT_TRUE(called);
+  {
+    TablePins pins(cache_.get());
+    Table* missing = nullptr;
+    EXPECT_FALSE(pins.Find(4, size, &missing).ok());  // Not remembered
+    EXPECT_EQ(nullptr, missing);
+    Table* first = nullptr;
+    ASSERT_TRUE(pins.Find(3, size, &first).ok());
+    cache_->Evict(3);
+    ASSERT_TRUE(env_->RemoveFile(TableFileName("/tc", 3)).ok());
+    Table* again = nullptr;
+    ASSERT_TRUE(pins.Find(3, size, &again).ok());
+    EXPECT_EQ(first, again);
+    EXPECT_EQ(1u, again->NumDataBlocks());
+    uint64_t size4 = WriteTable(4, "c", "d");
+    EXPECT_TRUE(pins.Find(4, size4, &missing).ok());
+  }
+  TablePins fresh(cache_.get());
+  Table* table = nullptr;
+  EXPECT_FALSE(fresh.Find(3, size, &table).ok());
 }
 
 TEST_F(TableCacheTest, EvictDropsCachedTable) {
