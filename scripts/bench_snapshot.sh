@@ -58,6 +58,10 @@
 #   * bench_fig10_userid --json — the same cells for Figure 10 on the
 #     non-time-correlated UserID index (LOOKUP, and RANGELOOKUP over 10 and
 #     100 users).
+#   * bench_parallel_query --parallelism=0,2,4 — top-K LOOKUP and
+#     RANGELOOKUP on Lazy, Eager, Composite and Embedded behind a 50 us
+#     per-read latency Env: the read pool's speedup over the sequential
+#     path at 2 and 4 executors, each checked byte-identical to it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -127,6 +131,9 @@ echo "==> fig10 UserID LOOKUP / RANGELOOKUP cells"
 
 echo "==> fig11 CreationTime LOOKUP / RANGELOOKUP cells"
 "${bin}/bench/bench_fig11_ctime" --json >> "${tmp}"
+
+echo "==> parallel query (50 us read latency, read_parallelism 0/2/4)"
+"${bin}/bench/bench_parallel_query" --parallelism=0,2,4 | grep '^{' >> "${tmp}"
 
 echo "==> kernels (crc32c, SimpleLZ, JSON extract, posting-list parse)"
 "${bin}/bench/bench_micro_substrate" \

@@ -21,8 +21,10 @@ cd "$(dirname "$0")/.."
 # it walks raw pointers over stored bytes, fuzzed by their differential
 # tests. And the newest-first admission tests (*NewestFirst*): the Embedded
 # scan holds records as slices into blocks its pool tasks decoded until the
-# calling thread admits them.
-SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList|NewestFirst|ShardedDBTest.ParallelReadsMatchUnsharded"
+# calling thread admits them. And the ParallelRun contract itself
+# (ThreadPool*): its tasks write plain slots that only the region barrier
+# publishes to the caller.
+SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList|NewestFirst|ShardedDBTest.ParallelReadsMatchUnsharded|ThreadPool"
 if [[ "${1:-}" == "--sanitize-all" || "${1:-}" == "--tsan-all" ]]; then
   SAN_FILTER=""
 fi

@@ -603,11 +603,20 @@ WriteBatch* DBImpl::BuildBatchGroup(Writer** last_writer, int* group_size) {
   return result;
 }
 
-uint64_t DBImpl::QueuedImmBytes() {
+uint64_t DBImpl::MemTableBytes() {
   mutex_.AssertHeld();
-  uint64_t total = 0;
+  uint64_t total = mem_->ApproximateMemoryUsage();
   for (const ImmEntry& e : imm_queue_) {
     total += e.mem->ApproximateMemoryUsage();
+  }
+  return total;
+}
+
+uint64_t DBImpl::TotalBytes() {
+  mutex_.AssertHeld();
+  uint64_t total = MemTableBytes();
+  for (int level = 0; level < options_.num_levels; level++) {
+    total += static_cast<uint64_t>(versions_->NumLevelBytes(level));
   }
   return total;
 }
@@ -702,7 +711,7 @@ Status DBImpl::MakeRoomForWrite(bool force, bool no_stall) {
   // the stalls it was smoothing — the queue's whole point is to absorb
   // bursts at memtable speed. Memory stays bounded regardless: rotation
   // caps the queue at max_imm memtables of write_buffer_size each
-  // (QueuedImmBytes() is exported via the approximate-memory properties).
+  // (MemTableBytes() is exported as "approximate-memory-usage").
   Status s;
   while (true) {
     if (!bg_error_.ok()) {
@@ -2245,11 +2254,7 @@ void DBImpl::CompactRange(const Slice* begin, const Slice* end) {
 
 uint64_t DBImpl::TotalSizeBytes() {
   MutexLock l(&mutex_);
-  uint64_t total = mem_->ApproximateMemoryUsage() + QueuedImmBytes();
-  for (int level = 0; level < options_.num_levels; level++) {
-    total += static_cast<uint64_t>(versions_->NumLevelBytes(level));
-  }
-  return total;
+  return TotalBytes();
 }
 
 bool DBImpl::GetProperty(const Slice& property, std::string* value) {
@@ -2277,15 +2282,10 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     current->Unref();
     return true;
   } else if (in == Slice("total-bytes")) {
-    uint64_t total = mem_->ApproximateMemoryUsage() + QueuedImmBytes();
-    for (int level = 0; level < options_.num_levels; level++) {
-      total += static_cast<uint64_t>(versions_->NumLevelBytes(level));
-    }
-    *value = std::to_string(total);
+    *value = std::to_string(TotalBytes());
     return true;
   } else if (in == Slice("approximate-memory-usage")) {
-    uint64_t total = mem_->ApproximateMemoryUsage() + QueuedImmBytes();
-    *value = std::to_string(total);
+    *value = std::to_string(MemTableBytes());
     return true;
   } else if (in == Slice("levels")) {
     *value = versions_->LevelSummary();

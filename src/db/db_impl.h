@@ -258,7 +258,8 @@ class DBImpl : public DB {
   /// mode, where triggers never outlive the write that tripped them).
   Status WaitForBackgroundWork();
 
-  /// Total bytes across all SSTables plus the live memtable (Figure 8a).
+  /// Total bytes across all SSTables plus the live and queued memtables
+  /// (Figure 8a); the "total-bytes" property.
   uint64_t TotalSizeBytes();
 
   /// Point-in-time view of the write-stall ladder, for backpressure
@@ -327,9 +328,12 @@ class DBImpl : public DB {
   Status MakeRoomForWrite(bool force, bool no_stall = false)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  /// Total bytes held by queued immutable memtables (the stall ladder's
-  /// backpressure signal with pipelined flushes).
-  uint64_t QueuedImmBytes() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  /// Bytes held by the live memtable plus the queued immutable memtables
+  /// ("approximate-memory-usage").
+  uint64_t MemTableBytes() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  /// MemTableBytes() plus every level's SSTable bytes ("total-bytes",
+  /// TotalSizeBytes()).
+  uint64_t TotalBytes() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   /// Retire mem_ into the immutable queue and start a fresh memtable +
   /// WAL. On success mem_ is empty and the queue gained one entry tagged

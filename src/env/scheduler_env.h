@@ -17,7 +17,9 @@
 // DBImpl keeps at most one background task scheduled at a time, so that
 // size guarantees a runnable task never queues behind a parked one — a
 // stuck PRIMARY flush cannot starve the same shard's index-table flush,
-// which writers depend on (index writes keep the blocking path).
+// which writers depend on (index writes keep the blocking path). The lanes
+// are plain ThreadPool workers: between flushes and compactions they park
+// on the pool's condvar and take no CPU from the shard's readers.
 //
 // The destructor finishes queued tasks, then joins the workers. Destroy
 // the DBs using the wrapper first: their destructors wait for in-flight

@@ -45,7 +45,7 @@ enum Ticker : uint32_t {
   kGroupCommitWrites,     // Write() calls satisfied by those appends
   kMultiGetBatches,       // MultiGet calls
   kMultiGetKeys,          // keys looked up across those calls
-  kParallelTasks,         // query tasks executed on pool workers
+  kParallelTasks,         // tasks run inside ParallelRun regions
   kParallelWaitMicros,    // caller time blocked on the fan-out barrier
   kFaultInjectedErrors,   // I/O errors injected by FaultInjectionEnv
   kRecoveryWalRecords,    // WAL batch records replayed during recovery

@@ -1,6 +1,7 @@
 #include "env/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 
@@ -8,24 +9,6 @@
 #include "util/perf_context.h"
 
 namespace leveldbpp {
-
-namespace {
-
-// Spinning is only useful when a spare hardware thread exists to observe it;
-// on a single-CPU host every cycle spent polling is stolen from the thread
-// doing the actual work.
-bool SpinUseful() {
-  static const bool useful = std::thread::hardware_concurrency() > 1;
-  return useful;
-}
-
-// How long an idle worker polls for new work before parking on the condvar.
-// Back-to-back ParallelRun regions (a shard fan-out, then each shard's
-// MultiGet runs) arrive well inside this window, so steady-state dispatch
-// costs a single atomic load instead of a condvar wake.
-constexpr auto kIdleSpin = std::chrono::microseconds(100);
-
-}  // namespace
 
 ThreadPool* ThreadPool::Shared(int min_threads) {
   static ThreadPool* pool = new ThreadPool(0);
@@ -38,7 +21,7 @@ ThreadPool::ThreadPool(int num_threads) { EnsureThreads(num_threads); }
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    shutting_down_.store(true, std::memory_order_release);
+    shutting_down_ = true;
   }
   cv_.notify_all();
   for (std::thread& t : threads_) {
@@ -50,7 +33,6 @@ void ThreadPool::Submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(fn));
-    pending_.fetch_add(1, std::memory_order_release);
   }
   cv_.notify_one();
 }
@@ -62,36 +44,15 @@ void ThreadPool::EnsureThreads(int n) {
   }
 }
 
-int ThreadPool::NumThreads() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(threads_.size());
-}
-
 void ThreadPool::WorkerLoop() {
   while (true) {
-    // Spin-then-park (see the class comment): poll the lock-free pending
-    // count for a bounded window before taking the mutex. cv_.wait's
-    // predicate re-check means a task spotted here is claimed without
-    // sleeping.
-    if (SpinUseful() && pending_.load(std::memory_order_acquire) == 0 &&
-        !shutting_down_.load(std::memory_order_acquire)) {
-      const auto park_at = std::chrono::steady_clock::now() + kIdleSpin;
-      while (pending_.load(std::memory_order_acquire) == 0 &&
-             !shutting_down_.load(std::memory_order_acquire) &&
-             std::chrono::steady_clock::now() < park_at) {
-      }
-    }
     std::function<void()> fn;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this]() {
-        return shutting_down_.load(std::memory_order_relaxed) ||
-               !queue_.empty();
-      });
+      cv_.wait(lock, [this]() { return shutting_down_ || !queue_.empty(); });
       if (queue_.empty()) return;  // Only on shutdown
       fn = std::move(queue_.front());
       queue_.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
     }
     fn();
   }
@@ -173,23 +134,13 @@ void ParallelRun(std::vector<std::function<void()>>* tasks, int parallelism,
 
   const auto wait_start = std::chrono::steady_clock::now();
   if (region->done.load(std::memory_order_acquire) < n) {
-    // The remaining work is at most one in-flight task per helper
-    // (unclaimed tasks would have been claimed by the caller's drain).
-    // Spin briefly for the common a-few-microseconds-left case, then park;
-    // tasks that block on real I/O wake us via the region condvar.
-    if (SpinUseful()) {
-      const auto park_at =
-          std::chrono::steady_clock::now() + std::chrono::microseconds(20);
-      while (region->done.load(std::memory_order_acquire) < n &&
-             std::chrono::steady_clock::now() < park_at) {
-      }
-    }
-    if (region->done.load(std::memory_order_acquire) < n) {
-      std::unique_lock<std::mutex> lock(region->mu);
-      region->cv.wait(lock, [&]() {
-        return region->done.load(std::memory_order_acquire) >= n;
-      });
-    }
+    // What remains is at most one in-flight task per helper (the caller's
+    // drain claimed every unclaimed task). Park until the executor that
+    // finishes the last task signals the region condvar.
+    std::unique_lock<std::mutex> lock(region->mu);
+    region->cv.wait(lock, [&]() {
+      return region->done.load(std::memory_order_acquire) >= n;
+    });
   }
   if (region->perf_enabled) {
     PerfContext* pc = CurrentThreadPerfContext();

@@ -1,30 +1,28 @@
-// ThreadPool / WaitGroup: the fixed-size worker pool behind the parallel
-// read path (Options::read_parallelism), living alongside the single-thread
-// BackgroundScheduler in env_posix.cc.
+// ThreadPool: the fixed-size worker pool behind the parallel read path
+// (Options::read_parallelism) and each shard's DedicatedSchedulerEnv lane,
+// living alongside the single-thread BackgroundScheduler in env_posix.cc.
 //
 // Design constraints (see DESIGN.md "Parallel read path"):
-//  * One process-wide pool shared by every DB instance, sized lazily to the
-//    largest parallelism any caller has requested — mirroring how all DBs
-//    share one background compaction thread.
-//  * Submit/wait-group API only: callers submit closures and wait on a
-//    WaitGroup barrier. There are no futures and no task return values; a
-//    task communicates through state it owns exclusively (e.g. a per-task
-//    output slot), and the WaitGroup's release/acquire edge publishes it.
-//  * The pool is for BOUNDED fan-out (a query resolving its candidates),
-//    never for long-running work; tasks must not block on other tasks.
+//  * One process-wide read pool shared by every DB instance, sized lazily
+//    to the largest parallelism any caller has requested — mirroring how
+//    all DBs share one background compaction thread.
+//  * Submit-only API: no futures and no task return values. A task
+//    communicates through state it owns exclusively (e.g. a per-task output
+//    slot), and ParallelRun's region barrier publishes it to the caller.
+//  * The read pool is for BOUNDED fan-out (a query resolving its
+//    candidates), never for long-running work; tasks must not block on
+//    other tasks.
 //
-// ParallelRun is the one entry point the engine uses: it shares a task list
-// between the calling thread and up to (parallelism - 1) pool workers, so
-// parallelism == 1 (or a single task) runs entirely inline with zero
-// scheduling overhead — keeping the default sequential paths byte-identical
-// to the pre-pool engine.
+// ParallelRun is the one entry point the engine's read path uses: it shares
+// a task list between the calling thread and up to (parallelism - 1) pool
+// workers, so parallelism == 1 (or a single task) runs entirely inline with
+// zero scheduling overhead — keeping the default sequential paths
+// byte-identical to the pre-pool engine.
 
 #ifndef LEVELDBPP_ENV_THREAD_POOL_H_
 #define LEVELDBPP_ENV_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -35,44 +33,10 @@ namespace leveldbpp {
 
 class Statistics;
 
-/// Countdown barrier: Add(n) before submitting n tasks, each task calls
-/// Done(), the coordinator blocks in Wait() until the count reaches zero.
-/// The mutex/condvar pair gives Wait() acquire semantics over everything the
-/// tasks wrote before Done().
-class WaitGroup {
- public:
-  void Add(int n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    count_ += n;
-  }
-
-  void Done() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--count_ == 0) cv_.notify_all();
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this]() { return count_ == 0; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int count_ = 0;
-};
-
-/// Fixed-size FIFO worker pool. Threads are started lazily on first Submit
-/// and live for the rest of the process (the shared instance is never
-/// destroyed, matching BackgroundScheduler).
-///
-/// Workers SPIN briefly before parking on the condvar: parallel-read tasks
-/// are microsecond-scale, and a condvar wake (tens to hundreds of
-/// microseconds on a loaded kernel) costs more than a typical task, so a
-/// freshly idle worker polls for follow-on work first. Only the first
-/// dispatch after a genuinely idle period pays the wake. Spinning is
-/// disabled on single-CPU hosts, where polling would steal the core from
-/// the thread producing the work.
+/// Fixed-size FIFO worker pool. Workers are started by EnsureThreads and
+/// run until the pool is destroyed; the shared instance never is (matching
+/// BackgroundScheduler). An idle worker parks on the condvar; it never
+/// polls, so an idle pool takes no CPU from the threads producing the work.
 class ThreadPool {
  public:
   /// Process-wide shared pool. Grows (never shrinks) to the largest
@@ -91,18 +55,14 @@ class ThreadPool {
   /// Ensure at least `n` worker threads exist.
   void EnsureThreads(int n);
 
-  int NumThreads() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> threads_;
-  // Mirrors queue_.size(); lets idle workers poll for work without the lock.
-  std::atomic<size_t> pending_{0};
-  std::atomic<bool> shutting_down_{false};
+  std::deque<std::function<void()>> queue_;  // guarded by mu_
+  std::vector<std::thread> threads_;         // guarded by mu_
+  bool shutting_down_ = false;               // guarded by mu_
 };
 
 /// Run `tasks` with up to `parallelism` concurrent executors: the calling
@@ -112,10 +72,10 @@ class ThreadPool {
 /// effects on timing or I/O attribution.
 ///
 /// The caller returns as soon as every task has FINISHED — it never waits
-/// for helpers to arrive, only for claimed tasks to complete (a brief spin,
-/// then a condvar park signalled by whichever executor finishes the last
-/// task). Helpers that arrive after the region is drained touch only a
-/// refcounted control block, never the caller's stack.
+/// for helpers to arrive, only for claimed tasks to complete: once its own
+/// share is drained it parks on the region's condvar, signalled by whichever
+/// executor finishes the last task. Helpers that arrive after the region is
+/// drained touch only a refcounted control block, never the caller's stack.
 ///
 /// Records kParallelTasks (tasks executed inside a parallel region) and
 /// kParallelWaitMicros (time the caller spent waiting after finishing its

@@ -213,10 +213,7 @@ Status ShardedDB::FanOutQuery(
       statuses[i] = shard_query(i, &per_shard[i]);
     });
   }
-  const int parallelism = options_.fanout_parallelism > 0
-                              ? options_.fanout_parallelism
-                              : n;
-  ParallelRun(&tasks, parallelism, frontend_stats_.get());
+  ParallelRun(&tasks, n, frontend_stats_.get());
   if (deadline_hit()) {
     return Status::DeadlineExceeded("after shard fan-out");
   }
@@ -365,9 +362,7 @@ Status ShardedDB::Join(const std::string& attribute, size_t k,
           shards_[i]->db->CollectJoinGroups(attribute, &per_shard[i]);
     });
   }
-  const int parallelism =
-      options_.fanout_parallelism > 0 ? options_.fanout_parallelism : n;
-  ParallelRun(&tasks, parallelism, frontend_stats_.get());
+  ParallelRun(&tasks, n, frontend_stats_.get());
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
   }

@@ -52,10 +52,6 @@ struct ShardedDBOptions {
   /// to rehash every record).
   int num_shards = 4;
 
-  /// Max concurrent executors for the query fan-out (callers + pool
-  /// workers). 0 means num_shards. 1 runs the fan-out inline.
-  int fanout_parallelism = 0;
-
   /// Per-shard Env override: when set, shard i opens with env_factory(i)
   /// instead of shard.base.env. The returned Envs must outlive the store.
   /// This exists for the chaos harness — one FaultInjectionEnv per shard

@@ -40,9 +40,12 @@ TEST_F(MiscEngineTest, Properties) {
   std::string value;
   ASSERT_TRUE(db_->GetProperty("leveldbpp.num-files-at-level0", &value));
   ASSERT_TRUE(db_->GetProperty("leveldbpp.total-bytes", &value));
-  EXPECT_GT(std::stoull(value), 10000u);  // Repetitive values compress well
+  const uint64_t total = std::stoull(value);
+  EXPECT_GT(total, 10000u);  // Repetitive values compress well
+  EXPECT_EQ(db_->TotalSizeBytes(), total);
   ASSERT_TRUE(db_->GetProperty("leveldbpp.approximate-memory-usage", &value));
   EXPECT_GT(std::stoull(value), 0u);
+  EXPECT_LT(std::stoull(value), total);  // The memtables are part of it
   ASSERT_TRUE(db_->GetProperty("leveldbpp.sstables", &value));
   EXPECT_NE(std::string::npos, value.find("--- level 0 ---"));
   ASSERT_TRUE(db_->GetProperty("leveldbpp.levels", &value));

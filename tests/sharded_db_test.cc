@@ -150,27 +150,6 @@ TEST(ShardedDBTest, EquivalenceMatrix) {
   }
 }
 
-TEST(ShardedDBTest, InlineFanoutIsEquivalentToo) {
-  const std::vector<crash::Op> ops = MakeWorkload(200);
-  std::unique_ptr<Env> ref_env(NewMemEnv());
-  std::unique_ptr<SecondaryDB> reference;
-  ASSERT_TRUE(
-      SecondaryDB::Open(TestShardOptions(ref_env.get(), IndexType::kLazy),
-                        "/ref", &reference)
-          .ok());
-  ApplyUnsharded(reference.get(), ops);
-
-  std::unique_ptr<Env> env(NewMemEnv());
-  ShardedDBOptions options;
-  options.shard = TestShardOptions(env.get(), IndexType::kLazy);
-  options.num_shards = 4;
-  options.fanout_parallelism = 1;  // Sequential fan-out path
-  std::unique_ptr<ShardedDB> sharded;
-  ASSERT_TRUE(ShardedDB::Open(options, "/sharded", &sharded).ok());
-  ApplySharded(sharded.get(), ops);
-  CompareStores(reference.get(), sharded.get(), "inline fanout");
-}
-
 // The served configuration: each shard validates candidates in parallel
 // (read_parallelism > 1, batched through MultiGet) inside the parallel shard
 // fan-out. The answers must still match one sequential unsharded store.

@@ -2,7 +2,7 @@
 //
 //   leveldbpp_server --db=PATH [--shards=N] [--port=P] [--host=H]
 //                    [--type=noindex|embedded|lazy|eager|composite]
-//                    [--attrs=A,B,...] [--fanout=N]
+//                    [--attrs=A,B,...]
 //                    [--max-inflight=N] [--max-connections=N]
 //                    [--idle-timeout-ms=N] [--no-shed-stalled-writes]
 //
@@ -43,7 +43,7 @@ void Usage() {
   std::fprintf(
       stderr,
       "usage: leveldbpp_server --db=PATH [--shards=N] [--port=P] [--host=H]\n"
-      "                        [--type=TYPE] [--attrs=A,B,...] [--fanout=N]\n"
+      "                        [--type=TYPE] [--attrs=A,B,...]\n"
       "                        [--max-inflight=N] [--max-connections=N]\n"
       "                        [--idle-timeout-ms=N]\n"
       "                        [--no-shed-stalled-writes]\n");
@@ -76,7 +76,7 @@ std::vector<std::string> SplitCommas(const std::string& s) {
 int main(int argc, char** argv) {
   std::string db_path, host = "127.0.0.1", type_name = "embedded";
   std::string attrs = "UserID,CreationTime";
-  int shards = 4, port = 0, fanout = 0;
+  int shards = 4, port = 0;
   int max_inflight = 0, max_connections = 0;
   uint64_t idle_timeout_ms = 0;
   bool shed_stalled_writes = true;
@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
     else if (arg.rfind("--host=", 0) == 0) host = arg.substr(7);
     else if (arg.rfind("--type=", 0) == 0) type_name = arg.substr(7);
     else if (arg.rfind("--attrs=", 0) == 0) attrs = arg.substr(8);
-    else if (arg.rfind("--fanout=", 0) == 0) fanout = std::atoi(arg.c_str() + 9);
     else if (arg.rfind("--max-inflight=", 0) == 0)
       max_inflight = std::atoi(arg.c_str() + 15);
     else if (arg.rfind("--max-connections=", 0) == 0)
@@ -110,7 +109,6 @@ int main(int argc, char** argv) {
 
   ShardedDBOptions options;
   options.num_shards = shards;
-  options.fanout_parallelism = fanout;
   options.shard.indexed_attributes = SplitCommas(attrs);
   options.shard.base.background_compaction = true;
   if (!ParseIndexType(type_name, &options.shard.index_type)) {
