@@ -187,7 +187,9 @@ int main(int argc, char** argv) {
 
   const std::string variant_filter = flags.GetString("variants", "");
 
-  PrintHeader("Parallel query engine: top-K lookups vs read_parallelism");
+  // The banner goes to stderr so stdout stays pure JSON lines.
+  PrintHeader("Parallel query engine: top-K lookups vs read_parallelism",
+              stderr);
 
   for (IndexType type : AllVariants()) {
     if (variant_filter.empty()) {

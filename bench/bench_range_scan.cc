@@ -24,7 +24,7 @@ namespace bench {
 namespace {
 
 std::string ScanKey(uint64_t i) {
-  char buf[16];
+  char buf[24];
   std::snprintf(buf, sizeof(buf), "k%08llu",
                 static_cast<unsigned long long>(i));
   return buf;

@@ -306,10 +306,10 @@ class Timer {
 
 // ---- Printing ----
 
-inline void PrintHeader(const char* title) {
-  printf("\n================================================================\n");
-  printf("%s\n", title);
-  printf("================================================================\n");
+inline void PrintHeader(const char* title, FILE* out = stdout) {
+  const char* rule =
+      "================================================================";
+  fprintf(out, "\n%s\n%s\n%s\n", rule, title, rule);
 }
 
 inline void PrintBoxPlotRow(const char* variant, const Histogram& h) {

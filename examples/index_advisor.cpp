@@ -3,7 +3,7 @@
 // index strategy and explains each branch it took, then (optionally)
 // validates the recommendation with a micro-trial on synthetic data.
 //
-//   ./index_advisor --writes=0.8 --lookups=0.03 --topk=10 \
+//   ./index_advisor --writes=0.8 --lookups=0.03 --topk=10
 //                   --time-correlated=0 --space-constrained=0 [--trial]
 
 #include <cstdio>

@@ -38,12 +38,6 @@
 #     iterator, selectivity sweep (1‰ .. 1000‰) across all five variants
 #     over deterministic LSM shapes: the per-Next heap reshuffle over the
 #     memtable, L0 files and one run per level below L0.
-#   * bench_join — index-nested-loop joins between two stores, join-value
-#     cardinality sweep (8 / 64 / 512 distinct values over 4k rows per
-#     side) across all five variants: few huge groups are
-#     pair-materialization bound, many tiny groups are index-probe bound,
-#     so the sweep separates the variants' probe costs from the shared
-#     join machinery.
 #   * bench_micro_substrate, block-read kernels — CRC32C on the dispatched
 #     path and on the portable fallback, and SimpleLZ on a TweetGenerator
 #     data block: the per-block checksum and decompress stages every
@@ -123,9 +117,6 @@ echo "==> serve overload sweep (no-retry writers, shedding on)"
 echo "==> range scans (heap-merge, selectivity sweep)"
 "${bin}/bench/bench_range_scan" --n=40000 --reps=40 >> "${tmp}"
 
-echo "==> joins (index-nested-loop, join-value cardinality sweep)"
-"${bin}/bench/bench_join" --n=4000 --reps=3 >> "${tmp}"
-
 echo "==> fig10 UserID LOOKUP / RANGELOOKUP cells"
 "${bin}/bench/bench_fig10_userid" --json >> "${tmp}"
 
@@ -133,7 +124,7 @@ echo "==> fig11 CreationTime LOOKUP / RANGELOOKUP cells"
 "${bin}/bench/bench_fig11_ctime" --json >> "${tmp}"
 
 echo "==> parallel query (50 us read latency, read_parallelism 0/2/4)"
-"${bin}/bench/bench_parallel_query" --parallelism=0,2,4 | grep '^{' >> "${tmp}"
+"${bin}/bench/bench_parallel_query" --parallelism=0,2,4 >> "${tmp}"
 
 echo "==> kernels (crc32c, SimpleLZ, JSON extract, posting-list parse)"
 "${bin}/bench/bench_micro_substrate" \

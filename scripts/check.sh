@@ -124,12 +124,11 @@ if [[ -n "${SAN_FILTER}" ]]; then
   ASAN_OPTIONS="halt_on_error=1" ctest --preset asan -L serving
 fi
 
-# Planner: the conjunctive/join differential matrix — LookupAnd and
-# JoinOnAttribute byte-identical across forced plans, drive sides,
-# read_parallelism, a full compaction, and shard counts. The intersect path
-# fans posting scans over the shared pool (TSan) and the wire tests parse
-# LOOKUPAND/JOIN frames (ASan). Skipped when --sanitize-all already ran
-# the full suites.
+# Planner: the conjunctive differential matrix — LookupAnd byte-identical
+# across forced plans, drive sides, read_parallelism, a full compaction,
+# and shard counts. The intersect path fans posting scans over the shared
+# pool (TSan) and the wire tests parse LOOKUPAND frames (ASan). Skipped
+# when --sanitize-all already ran the full suites.
 if [[ -n "${SAN_FILTER}" ]]; then
   echo "==> TSan planner tests"
   TSAN_OPTIONS="halt_on_error=1" ctest --preset tsan -L planner
@@ -155,7 +154,6 @@ build/tools/leveldbpp_client --port="${SMOKE_PORT}" put smoke '{"UserID":"u1","C
 build/tools/leveldbpp_client --port="${SMOKE_PORT}" get smoke | grep -q '"UserID":"u1"'
 build/tools/leveldbpp_client --port="${SMOKE_PORT}" lookup UserID u1 1 | grep -q smoke
 build/tools/leveldbpp_client --port="${SMOKE_PORT}" lookupand UserID u1 CreationTime 4,5,6 1 | grep -q smoke
-build/tools/leveldbpp_client --port="${SMOKE_PORT}" join UserID 1 | grep -q smoke
 kill "${SMOKE_PID}"
 wait "${SMOKE_PID}" 2>/dev/null || true
 trap - EXIT

@@ -84,6 +84,7 @@ class CandidateSink {
   /// Flush, then move out the results, newest first.
   Status Finish(std::vector<QueryResult>* results);
 
+ private:
   /// Fetch the current records of `keys`: one GetWithMeta per key when the
   /// primary's read_parallelism <= 1, one MultiGetWithMeta otherwise.
   /// (*found)[i] tells whether keys[i] exists (NotFound is not an error);
@@ -93,7 +94,6 @@ class CandidateSink {
                       std::vector<DBImpl::RecordLocation>* locs,
                       std::vector<char>* found);
 
- private:
   bool Matches(const Slice& record) const;
 
   DBImpl* const primary_;

@@ -1,7 +1,6 @@
 #include "core/composite_index.h"
 
 #include <memory>
-#include <set>
 
 #include "core/candidate_sink.h"
 #include "util/coding.h"
@@ -169,24 +168,6 @@ Status CompositeIndex::EstimatePostingCount(const Slice& value,
                       [&](const Slice& /*primary_key*/, uint64_t /*seq*/) {
                         (*count)++;
                       });
-}
-
-Status CompositeIndex::EnumerateIndexedKeys(
-    std::vector<std::string>* primary_keys) {
-  primary_keys->clear();
-  std::set<std::string> keys;
-  std::unique_ptr<Iterator> it(index_db_->NewIterator(ReadOptions()));
-  uint64_t rows = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    Slice attr_value, primary_key;
-    if (!SplitCompositeKey(it->key(), &attr_value, &primary_key)) continue;
-    rows++;
-    keys.insert(primary_key.ToString());
-  }
-  if (!it->status().ok()) return it->status();
-  PerfCounterAdd(&PerfContext::posting_entries_scanned, rows);
-  primary_keys->assign(keys.begin(), keys.end());
-  return Status::OK();
 }
 
 }  // namespace leveldbpp

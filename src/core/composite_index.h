@@ -39,7 +39,6 @@ class CompositeIndex : public StandAloneIndex {
   Status EnumeratePostings(const Slice& value,
                            std::vector<PostingCandidate>* out) override;
   Status EstimatePostingCount(const Slice& value, uint64_t* count) override;
-  Status EnumerateIndexedKeys(std::vector<std::string>* primary_keys) override;
 
   /// Composite key codec: attr value and primary key joined by 0x00.
   /// REQUIRES: attr values contain no NUL byte (the workload's attribute

@@ -193,24 +193,4 @@ Status EagerIndex::EstimatePostingCount(const Slice& value, uint64_t* count) {
   return Status::OK();
 }
 
-Status EagerIndex::EnumerateIndexedKeys(std::vector<std::string>* primary_keys) {
-  primary_keys->clear();
-  // The merged iterator surfaces only each value's newest (complete) list,
-  // so a plain full scan enumerates every posting exactly once per value.
-  std::set<std::string> keys;
-  std::unique_ptr<Iterator> it(index_db_->NewIterator(ReadOptions()));
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    std::vector<PostingEntry> entries;
-    if (!PostingList::Parse(it->value(), &entries)) continue;
-    PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
-    for (PostingEntry& e : entries) {
-      if (e.deleted) continue;
-      keys.insert(std::move(e.primary_key));
-    }
-  }
-  if (!it->status().ok()) return it->status();
-  primary_keys->assign(keys.begin(), keys.end());
-  return Status::OK();
-}
-
 }  // namespace leveldbpp

@@ -258,32 +258,4 @@ Status LazyIndex::EstimatePostingCount(const Slice& value, uint64_t* count) {
       });
 }
 
-Status LazyIndex::EnumerateIndexedKeys(std::vector<std::string>* primary_keys) {
-  primary_keys->clear();
-  // Level-by-level walk over the whole key space; every posting's primary
-  // key is added, deleted markers included — the join validates each key
-  // against the primary table anyway, and skipping markers here would
-  // require full shadowing resolution for no correctness gain.
-  std::set<std::string> keys;
-  DBImpl::LevelIterators levels;
-  Status s = index_db_->NewLevelIterators(ReadOptions(), &levels);
-  if (!s.ok()) return s;
-  for (Iterator* it : levels.iters) {
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      ParsedInternalKey ikey;
-      if (!ParseInternalKey(it->key(), &ikey)) continue;
-      if (ikey.type != kTypeValue) continue;
-      std::vector<PostingEntry> entries;
-      if (!PostingList::Parse(it->value(), &entries)) continue;
-      PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
-      for (PostingEntry& e : entries) {
-        keys.insert(std::move(e.primary_key));
-      }
-    }
-    if (!it->status().ok()) return it->status();
-  }
-  primary_keys->assign(keys.begin(), keys.end());
-  return Status::OK();
-}
-
 }  // namespace leveldbpp

@@ -40,7 +40,6 @@ class LazyIndex : public StandAloneIndex {
   Status EnumeratePostings(const Slice& value,
                            std::vector<PostingCandidate>* out) override;
   Status EstimatePostingCount(const Slice& value, uint64_t* count) override;
-  Status EnumerateIndexedKeys(std::vector<std::string>* primary_keys) override;
 
  private:
   using StandAloneIndex::StandAloneIndex;

@@ -397,126 +397,6 @@ Status SecondaryDB::LookupAnd(const std::string& attr1, const Slice& value1,
   return Status::OK();
 }
 
-Status SecondaryDB::CollectJoinGroups(const std::string& attribute,
-                                      std::vector<JoinGroup>* groups) {
-  groups->clear();
-  SecondaryIndex* idx = index(attribute);
-  if (idx == nullptr) {
-    return Status::InvalidArgument("attribute is not indexed: ", attribute);
-  }
-  const JsonAttributeExtractor* extractor =
-      JsonAttributeExtractor::Instance();
-  std::map<std::string, std::vector<QueryResult>> by_value;
-  uint64_t total_rows = 0;
-  if (standalone()) {
-    // Stream the outer side out of the index: the posting superset yields
-    // candidate primary keys, the candidate sink's resolver fetches their
-    // CURRENT records chunk by chunk, and the grouping value is extracted
-    // from the fetched record — so stale/deleted postings drop out here,
-    // not later.
-    std::vector<std::string> pks;
-    Status s = idx->EnumerateIndexedKeys(&pks);
-    if (!s.ok()) return s;
-    const size_t chunk_size = std::max<size_t>(
-        64, static_cast<size_t>(primary_->options().read_parallelism));
-    for (size_t next = 0; next < pks.size(); next += chunk_size) {
-      const size_t end = std::min(pks.size(), next + chunk_size);
-      std::vector<Slice> keys(pks.begin() + next, pks.begin() + end);
-      std::vector<std::string> values;
-      std::vector<DBImpl::RecordLocation> locs;
-      std::vector<char> found;
-      s = CandidateSink::Fetch(primary_.get(), keys, &values, &locs, &found);
-      if (!s.ok()) return s;
-      for (size_t i = next; i < end; i++) {
-        const size_t j = i - next;
-        if (!found[j]) continue;  // Stale posting
-        std::string av;
-        if (!extractor->Extract(Slice(values[j]), attribute, &av)) {
-          continue;  // Record no longer carries the attribute
-        }
-        QueryResult r;
-        r.primary_key = pks[i];
-        r.seq = locs[j].seq;
-        r.value = std::move(values[j]);
-        by_value[av].push_back(std::move(r));
-        total_rows++;
-      }
-    }
-  } else {
-    // Embedded/NoIndex: the primary table IS the index — one scan over the
-    // newest live versions groups everything.
-    Status s = primary_->ScanAll(
-        ReadOptions(),
-        [&](const Slice& key, SequenceNumber seq, const Slice& record) {
-          std::string av;
-          if (extractor->Extract(record, attribute, &av)) {
-            QueryResult r;
-            r.primary_key = key.ToString();
-            r.seq = seq;
-            r.value = record.ToString();
-            by_value[av].push_back(std::move(r));
-            total_rows++;
-          }
-          return true;
-        });
-    if (!s.ok()) return s;
-  }
-  groups->reserve(by_value.size());
-  for (auto& [value, rows] : by_value) {
-    std::sort(rows.begin(), rows.end(),
-              [](const QueryResult& a, const QueryResult& b) {
-                if (a.seq != b.seq) return a.seq > b.seq;
-                return a.primary_key < b.primary_key;
-              });
-    groups->push_back({value, std::move(rows)});
-  }
-  primary_statistics()->Record(kJoinOuterRows, total_rows);
-  return Status::OK();
-}
-
-Status JoinOnAttribute(SecondaryDB* outer, SecondaryDB* inner,
-                       const std::string& attribute, size_t k,
-                       std::vector<JoinRow>* results) {
-  results->clear();
-  Env* env = outer->primary()->options().env != nullptr
-                 ? outer->primary()->options().env
-                 : Env::Posix();
-  const uint64_t start = env->NowMicros();
-  std::vector<SecondaryDB::JoinGroup> groups;
-  Status s = outer->CollectJoinGroups(attribute, &groups);
-  if (!s.ok()) return s;
-  std::vector<JoinRow> pairs;
-  for (const SecondaryDB::JoinGroup& g : groups) {
-    // Probe the inner side through its own index; Lookup validates its
-    // candidates through the candidate sink. k == 0: every
-    // inner match participates (the pair cut happens after the global
-    // sort, so per-value truncation would change results).
-    std::vector<QueryResult> inner_rows;
-    s = inner->Lookup(attribute, Slice(g.value), 0, &inner_rows);
-    if (!s.ok()) return s;
-    outer->primary_statistics()->Record(kJoinProbes);
-    for (const QueryResult& l : g.rows) {
-      for (const QueryResult& r : inner_rows) {
-        pairs.push_back({l, r});
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const JoinRow& a, const JoinRow& b) {
-    if (a.left.seq != b.left.seq) return a.left.seq > b.left.seq;
-    if (a.left.primary_key != b.left.primary_key) {
-      return a.left.primary_key < b.left.primary_key;
-    }
-    if (a.right.seq != b.right.seq) return a.right.seq > b.right.seq;
-    return a.right.primary_key < b.right.primary_key;
-  });
-  outer->primary_statistics()->Record(kJoinPairs, pairs.size());
-  if (k != 0 && pairs.size() > k) pairs.resize(k);
-  *results = std::move(pairs);
-  outer->primary_statistics()->RecordHistogram(kHistJoinMicros,
-                                               env->NowMicros() - start);
-  return Status::OK();
-}
-
 Status SecondaryDB::CompactAll() {
   Status s = primary_->CompactAll();
   for (auto& index : indexes_) {

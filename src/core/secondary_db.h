@@ -128,22 +128,6 @@ class SecondaryDB {
                    const std::vector<std::string>& in_values2, size_t k,
                    std::vector<QueryResult>* results);
 
-  /// One attribute-value group of the outer side of a join: the validated
-  /// current records sharing val(attribute) == value, newest first.
-  struct JoinGroup {
-    std::string value;
-    std::vector<QueryResult> rows;
-  };
-
-  /// Enumerate every live record carrying `attribute`, grouped by its
-  /// current attribute value (groups ascending by value; rows within a
-  /// group newest first). Stand-alone variants stream candidates out of the
-  /// index (SecondaryIndex::EnumerateIndexedKeys) and validate them with
-  /// CandidateSink::Fetch; Embedded/NoIndex scan the primary table. This is the
-  /// outer side of JoinOnAttribute and of ShardedDB::Join.
-  Status CollectJoinGroups(const std::string& attribute,
-                           std::vector<JoinGroup>* groups);
-
   // ---- Snapshot-consistent primary iteration ----
   //
   // Thin forwards to the primary table: a snapshot pins a sequence number
@@ -257,26 +241,6 @@ class SecondaryDB {
   // Attribute -> index, in declaration order.
   std::vector<std::unique_ptr<SecondaryIndex>> indexes_;
 };
-
-/// One joined pair: a record from each store sharing the join attribute's
-/// value.
-struct JoinRow {
-  QueryResult left;
-  QueryResult right;
-};
-
-/// Index-nested-loop join (ISSUE 10 tentpole layer 3): JOIN(outer, inner,
-/// A, K) — every pair (l, r) with l in outer, r in inner, and val_l(A) ==
-/// val_r(A), both sides validated against their CURRENT primary records.
-/// The outer side streams through CollectJoinGroups; each distinct value
-/// probes the inner side's index via Lookup (whose candidates resolve
-/// through the candidate sink). Pairs are ordered (left.seq desc, left.key asc,
-/// right.seq desc, right.key asc) and truncated to K (K == 0: unlimited).
-/// outer == inner performs a self-join. `attribute` must be indexed on
-/// both stores.
-Status JoinOnAttribute(SecondaryDB* outer, SecondaryDB* inner,
-                       const std::string& attribute, size_t k,
-                       std::vector<JoinRow>* results);
 
 }  // namespace leveldbpp
 

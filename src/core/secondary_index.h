@@ -103,7 +103,7 @@ class SecondaryIndex {
   virtual Status RangeLookup(const Slice& lo, const Slice& hi, size_t k,
                              std::vector<QueryResult>* results) = 0;
 
-  // ---- Conjunctive-query / join surface (PR 10) ----
+  // ---- Posting-list surface of the conjunctive planner (LookupAnd) ----
 
   /// Enumerate every live posting stored under `value` (see
   /// PostingCandidate: deduplicated and deletion-resolved, unvalidated).
@@ -125,17 +125,6 @@ class SecondaryIndex {
   virtual Status EstimatePostingCount(const Slice& value, uint64_t* count) {
     (void)value;
     (void)count;
-    return Status::NotSupported("index keeps no posting lists");
-  }
-
-  /// Enumerate the primary key of every posting the index holds across ALL
-  /// attribute values — the outer-side candidate stream of an
-  /// index-nested-loop join. A deduplicated SUPERSET of the live records
-  /// carrying the attribute (stale and deleted postings may appear; the
-  /// join validates by fetching each record once). NotSupported where
-  /// EnumeratePostings is.
-  virtual Status EnumerateIndexedKeys(std::vector<std::string>* primary_keys) {
-    (void)primary_keys;
     return Status::NotSupported("index keeps no posting lists");
   }
 

@@ -674,23 +674,15 @@ Status DBImpl::MakeRoomForWrite(bool force, bool no_stall) {
     AcquireCompactionToken();
     while (s.ok() && !imm_queue_.empty()) {
       s = CompactMemTable();
-      while (!s.ok() && MaybeRetryBackgroundError(s)) {
-        s = CompactMemTable();  // Transient failure absorbed: retry the flush
-      }
     }
     if (s.ok() && !force) {
       while (s.ok() && versions_->NeedsCompaction()) {
         s = BackgroundCompaction();
-        while (!s.ok() && MaybeRetryBackgroundError(s)) {
-          s = BackgroundCompaction();
-        }
       }
     }
     ReleaseCompactionToken();
     if (!s.ok()) {
-      RecordBackgroundError(s);  // No-op if the retry path already did
-    } else {
-      NoteBackgroundWorkSucceeded();
+      RecordBackgroundError(s);
     }
     return s;
   }
@@ -750,12 +742,7 @@ Status DBImpl::MakeRoomForWrite(bool force, bool no_stall) {
         // completes.
         Status fs = CompactMemTable();
         if (!fs.ok()) {
-          // If the failure is transient and retries remain, the backoff
-          // sleep happens here and the loop tries the flush again;
-          // otherwise this records the sticky error and the loop exits.
-          MaybeRetryBackgroundError(fs);
-        } else {
-          NoteBackgroundWorkSucceeded();
+          RecordBackgroundError(fs);  // The loop exits on the sticky error
         }
       } else {
         // Another thread is already flushing: stop-stall until it lands.
@@ -830,8 +817,8 @@ void DBImpl::RecordBackgroundError(const Status& s) {
     if (!options_.listeners.empty()) {
       // The sticky error is already published and waiters woken, so the
       // state any concurrent thread observes during the unlock window is
-      // final; every caller tolerates an unlock here (MaybeRetryBackground-
-      // Error already releases the mutex to sleep).
+      // final; every caller tolerates an unlock here (each one has just
+      // dropped the mutex around its own WAL or table I/O).
       BackgroundErrorInfo info;
       info.db_name = dbname_;
       info.status = s;
@@ -845,7 +832,7 @@ void DBImpl::RecordBackgroundError(const Status& s) {
 namespace {
 
 // Transient errors may heal on their own (disk briefly full, EIO on a flaky
-// device); retrying is worthwhile. Permanent errors mean the bytes or the
+// device); Resume() is worthwhile. Permanent errors mean the bytes or the
 // request itself are bad — a retry reproduces the exact same failure.
 bool IsPermanentBackgroundError(const Status& s) {
   return s.IsCorruption() || s.IsNotSupported() || s.IsInvalidArgument() ||
@@ -853,34 +840,6 @@ bool IsPermanentBackgroundError(const Status& s) {
 }
 
 }  // namespace
-
-bool DBImpl::MaybeRetryBackgroundError(const Status& s) {
-  mutex_.AssertHeld();
-  assert(!s.ok());
-  if (IsPermanentBackgroundError(s) ||
-      bg_retry_attempts_ >= options_.bg_error_retries ||
-      shutting_down_.load(std::memory_order_acquire)) {
-    RecordBackgroundError(s);
-    return false;
-  }
-  const int attempt = bg_retry_attempts_++;
-  // 1ms, 2ms, 4ms, ... capped at ~1s per wait.
-  const int backoff_micros = 1000 << std::min(attempt, 10);
-  mutex_.Unlock();
-  env_->SleepForMicroseconds(backoff_micros);
-  mutex_.Lock();
-  return true;
-}
-
-void DBImpl::NoteBackgroundWorkSucceeded() {
-  mutex_.AssertHeld();
-  if (bg_retry_attempts_ > 0) {
-    bg_retry_attempts_ = 0;
-    if (options_.statistics != nullptr) {
-      options_.statistics->Record(kBgErrorAutorecovered);
-    }
-  }
-}
 
 void DBImpl::MaybeScheduleCompaction() {
   mutex_.AssertHeld();
@@ -905,7 +864,6 @@ void DBImpl::BackgroundCall() {
     // Re-check under the token: a manual compaction or a stalled writer's
     // inline flush may have drained the work while this call waited.
     Status s;
-    bool did_work = false;
     // Flush-first keeps the imm queue short, but strict flush preference
     // starves level compaction whenever the queue is non-empty — with a
     // deep queue (max_immutable_memtables > 1) under sustained writes, L0
@@ -919,19 +877,13 @@ void DBImpl::BackgroundCall() {
         versions_->NeedsCompaction() &&
         versions_->NumLevelFiles(0) >= options_.l0_slowdown_writes_trigger;
     if (!imm_queue_.empty() && !flush_in_progress_ && !l0_pressure) {
-      did_work = true;
       s = CompactMemTable();
     } else if (versions_->NeedsCompaction()) {
-      did_work = true;
       s = BackgroundCompaction();
     }
     ReleaseCompactionToken();
     if (!s.ok()) {
-      // Absorbed transient failures leave bg_error_ clear, so the
-      // reschedule below re-arms the same work after the backoff sleep.
-      MaybeRetryBackgroundError(s);
-    } else if (did_work) {
-      NoteBackgroundWorkSucceeded();
+      RecordBackgroundError(s);
     }
   }
   background_compaction_scheduled_ = false;
@@ -1057,7 +1009,6 @@ Status DBImpl::Resume() {
     return bg_error_;  // Corruption stays sticky: run RepairDB instead.
   }
   bg_error_ = Status::OK();
-  bg_retry_attempts_ = 0;
 
   Status s;
   AcquireCompactionToken();

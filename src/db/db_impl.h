@@ -349,18 +349,6 @@ class DBImpl : public DB {
   /// only Resume() (transient errors) or reopening the DB clears the state.
   void RecordBackgroundError(const Status& s) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  /// Absorb one background-work failure: if `s` is transient (an I/O error,
-  /// not corruption) and the Options::bg_error_retries budget is not
-  /// exhausted, sleeps with exponential backoff (mutex released) and returns
-  /// true — the caller should retry the work. Otherwise records `s` as the
-  /// sticky background error and returns false.
-  bool MaybeRetryBackgroundError(const Status& s)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-
-  /// A successful unit of background work after >= 1 absorbed failures:
-  /// reset the retry budget and count the auto-recovery.
-  void NoteBackgroundWorkSucceeded() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-
   /// Schedule background work if any is pending (background mode only).
   void MaybeScheduleCompaction() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   static void BGWork(void* db);
@@ -455,8 +443,6 @@ class DBImpl : public DB {
   bool ingest_in_progress_ GUARDED_BY(mutex_) = false;
 
   Status bg_error_ GUARDED_BY(mutex_);  // Sticky error from flush/compaction
-  // Failed background attempts absorbed so far (Options::bg_error_retries).
-  int bg_retry_attempts_ GUARDED_BY(mutex_) = 0;
 
   std::string merge_scratch_;
 };

@@ -168,15 +168,6 @@ struct Options {
   /// paper engine.
   std::atomic<uint64_t>* shared_sequence = nullptr;
 
-  /// How many times a failed background flush/compaction is retried (with
-  /// exponential backoff) before the error is recorded as the sticky
-  /// background error that stops all writes. Only transient failures
-  /// (I/O errors) are retried; corruption is never retried. A retry that
-  /// succeeds bumps the bg.error.autorecovered ticker. 0 (default)
-  /// preserves the classic fail-fast behavior: first failure sticks, and
-  /// recovery requires an explicit DB::Resume().
-  int bg_error_retries = 0;
-
   /// Size ratio between adjacent levels (paper/LevelDB: 10).
   int level_size_multiplier = 10;
 

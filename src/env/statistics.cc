@@ -67,10 +67,6 @@ const char* TickerName(Ticker t) {
     case kIntersectPostingsScanned:
       return "query.intersect.postings.scanned";
     case kIntersectSurvivors: return "query.intersect.survivors";
-    case kJoinProbes: return "join.probes";
-    case kJoinOuterRows: return "join.outer.rows";
-    case kJoinPairs: return "join.pairs";
-    case kShardJoinFanouts: return "shard.join.fanouts";
     case kTickerCount: break;
   }
   return "unknown";
@@ -90,7 +86,6 @@ const char* HistogramName(HistogramType h) {
     case kHistWalSyncMicros: return "wal.sync.micros";
     case kHistFlushQueueDepth: return "flush.queue.depth";
     case kHistLookupAndMicros: return "lookupand.micros";
-    case kHistJoinMicros: return "join.micros";
     case kHistogramCount: break;
   }
   return "unknown";

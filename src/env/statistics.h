@@ -55,7 +55,7 @@ enum Ticker : uint32_t {
   kRepairTablesSalvaged,  // tables RepairDB kept (possibly rewritten)
   kRepairTablesDropped,   // tables RepairDB archived as unreadable
   kIndexRebuildEntries,   // postings re-derived by RebuildIndex
-  kBgErrorAutorecovered,  // background errors cleared by retry/Resume
+  kBgErrorAutorecovered,  // background errors cleared by Resume
   kIngestFiles,           // SSTables spliced in by IngestExternalFiles
   kIngestBytes,           // bytes of the above
   kIngestKeys,            // records ingested (memtable+WAL bypassed)
@@ -80,10 +80,6 @@ enum Ticker : uint32_t {
   kPlannerPlans,           // conjunctive plans produced by the query planner
   kIntersectPostingsScanned,  // posting entries enumerated for LookupAnd
   kIntersectSurvivors,     // candidates surviving intersection / pre-filter
-  kJoinProbes,             // inner-side index probes issued by joins
-  kJoinOuterRows,          // outer-side rows grouped by join attribute
-  kJoinPairs,              // joined pairs emitted before top-K truncation
-  kShardJoinFanouts,       // cross-shard JOIN fan-outs
   kTickerCount,
 };
 
@@ -107,7 +103,6 @@ enum HistogramType : uint32_t {
   kHistFlushQueueDepth,        // imm-queue depth after each rotation (count,
                                // not micros; depth > 1 only with pipelining)
   kHistLookupAndMicros,        // one conjunctive SecondaryDB::LookupAnd
-  kHistJoinMicros,             // one JoinOnAttribute / ShardedDB::Join
   kHistogramCount,
 };
 

@@ -345,31 +345,6 @@ Status Client::LookupAnd(const std::string& attr1, const Slice& value1,
   return s;
 }
 
-Status Client::Join(const std::string& attribute, uint32_t k,
-                    std::vector<JoinRow>* results) {
-  wire::Request req;
-  req.op = wire::kJoin;
-  req.attribute = attribute;
-  req.k = k;
-  wire::Response resp;
-  Status s = RoundTrip(req, &resp);
-  if (!s.ok()) return s;
-  s = ToStatus(resp);
-  if (!s.ok()) return s;
-  if (resp.results.size() % 2 != 0) {
-    return Status::Corruption("odd JOIN result count");
-  }
-  results->clear();
-  results->reserve(resp.results.size() / 2);
-  for (size_t i = 0; i + 1 < resp.results.size(); i += 2) {
-    JoinRow row;
-    row.left = std::move(resp.results[i]);
-    row.right = std::move(resp.results[i + 1]);
-    results->push_back(std::move(row));
-  }
-  return s;
-}
-
 Status Client::Stats(std::string* json) {
   wire::Request req;
   req.op = wire::kStats;

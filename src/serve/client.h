@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/secondary_db.h"  // JoinRow
 #include "serve/wire.h"
 
 namespace leveldbpp {
@@ -97,12 +96,6 @@ class Client {
                    const std::string& attr2,
                    const std::vector<std::string>& in_values2, uint32_t k,
                    std::vector<QueryResult>* results);
-
-  /// Self-join on `attribute` over the served store (the JOIN op). The
-  /// response's flattened pair list is re-assembled into JoinRows here; an
-  /// odd result count is a protocol error.
-  Status Join(const std::string& attribute, uint32_t k,
-              std::vector<JoinRow>* results);
 
   /// Server-side aggregated stats JSON (ShardedDB::GetProperty).
   Status Stats(std::string* json);

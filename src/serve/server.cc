@@ -347,21 +347,6 @@ wire::Response Server::Execute(const wire::Request& req,
       if (s.ok()) resp.results = std::move(results);
       break;
     }
-    case wire::kJoin: {
-      std::vector<JoinRow> pairs;
-      Status s = db_->Join(req.attribute, req.k, qopts, &pairs, &meta);
-      resp = wire::FromStatus(s);
-      if (s.ok()) {
-        // Flatten each pair into two consecutive results (left, right) —
-        // the documented JOIN response layout.
-        resp.results.reserve(pairs.size() * 2);
-        for (JoinRow& p : pairs) {
-          resp.results.push_back(std::move(p.left));
-          resp.results.push_back(std::move(p.right));
-        }
-      }
-      break;
-    }
   }
 
   if (meta.degraded) {

@@ -1,9 +1,7 @@
 #include "serve/sharded_db.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
 
 #include "env/scheduler_env.h"
 #include "env/thread_pool.h"
@@ -326,100 +324,6 @@ Status ShardedDB::LookupAnd(const std::string& attr1, const Slice& value1,
                                          out);
       },
       results, meta);
-}
-
-Status ShardedDB::Join(const std::string& attribute, size_t k,
-                       std::vector<JoinRow>* results) {
-  return Join(attribute, k, QueryOptions(), results, nullptr);
-}
-
-Status ShardedDB::Join(const std::string& attribute, size_t k,
-                       const QueryOptions& qopts,
-                       std::vector<JoinRow>* results, QueryMeta* meta) {
-  results->clear();
-  if (meta != nullptr) *meta = QueryMeta();
-  frontend_stats_->Record(kShardJoinFanouts);
-  const auto deadline_hit = [&]() {
-    return qopts.deadline_micros != 0 &&
-           env_->NowMicros() >= qopts.deadline_micros;
-  };
-  if (deadline_hit()) {
-    return Status::DeadlineExceeded("before join fan-out");
-  }
-
-  // Outer side: collect every shard's join groups concurrently. This stage
-  // is fail-closed regardless of allow_degraded — a dropped shard here
-  // would silently DELETE join pairs, which is a wrong answer rather than
-  // a ranked-lower one.
-  const int n = num_shards();
-  std::vector<std::vector<SecondaryDB::JoinGroup>> per_shard(n);
-  std::vector<Status> statuses(n);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (int i = 0; i < n; i++) {
-    tasks.push_back([this, i, &attribute, &per_shard, &statuses]() {
-      statuses[i] =
-          shards_[i]->db->CollectJoinGroups(attribute, &per_shard[i]);
-    });
-  }
-  ParallelRun(&tasks, n, frontend_stats_.get());
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  if (deadline_hit()) {
-    return Status::DeadlineExceeded("after join group collection");
-  }
-
-  // Merge groups by value: shards partition primary keys, so concatenating
-  // per-shard rows and re-sorting (seq desc, key asc) reproduces exactly
-  // the groups an unsharded CollectJoinGroups would build.
-  std::map<std::string, std::vector<QueryResult>> merged;
-  for (std::vector<SecondaryDB::JoinGroup>& groups : per_shard) {
-    for (SecondaryDB::JoinGroup& g : groups) {
-      std::vector<QueryResult>& rows = merged[g.value];
-      for (QueryResult& r : g.rows) rows.push_back(std::move(r));
-    }
-  }
-
-  std::vector<JoinRow> pairs;
-  for (auto& [value, rows] : merged) {
-    std::sort(rows.begin(), rows.end(),
-              [](const QueryResult& a, const QueryResult& b) {
-                if (a.seq != b.seq) return a.seq > b.seq;
-                return a.primary_key < b.primary_key;
-              });
-    // Inner side: one cross-shard Lookup per distinct value (k == 0: the
-    // pair cut happens after the global sort). The probe honors qopts, so
-    // a degraded inner probe is surfaced in `meta` like any fan-out query.
-    std::vector<QueryResult> inner_rows;
-    QueryMeta probe_meta;
-    Status s = Lookup(attribute, Slice(value), 0, qopts, &inner_rows,
-                      &probe_meta);
-    if (!s.ok()) return s;
-    frontend_stats_->Record(kJoinProbes);
-    if (probe_meta.degraded && meta != nullptr) {
-      meta->degraded = true;
-      meta->missing_shards =
-          std::max(meta->missing_shards, probe_meta.missing_shards);
-    }
-    for (const QueryResult& l : rows) {
-      for (const QueryResult& r : inner_rows) {
-        pairs.push_back({l, r});
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const JoinRow& a, const JoinRow& b) {
-    if (a.left.seq != b.left.seq) return a.left.seq > b.left.seq;
-    if (a.left.primary_key != b.left.primary_key) {
-      return a.left.primary_key < b.left.primary_key;
-    }
-    if (a.right.seq != b.right.seq) return a.right.seq > b.right.seq;
-    return a.right.primary_key < b.right.primary_key;
-  });
-  frontend_stats_->Record(kJoinPairs, pairs.size());
-  if (k != 0 && pairs.size() > k) pairs.resize(k);
-  *results = std::move(pairs);
-  return Status::OK();
 }
 
 Status ShardedDB::CompactAll() {

@@ -131,19 +131,6 @@ class ShardedDB {
                    const QueryOptions& qopts,
                    std::vector<QueryResult>* results, QueryMeta* meta);
 
-  /// Cross-shard self-join on `attribute` (the kJoin wire op): outer
-  /// groups are collected per shard (fail-closed — a silently missing
-  /// shard would drop join pairs, not just rank them lower) and merged by
-  /// value; each distinct value then probes every shard through Lookup
-  /// (which honors qopts' deadline/degradation policy). Byte-identical to
-  /// JoinOnAttribute(db, db, attribute, k) on an unsharded store with the
-  /// same records. Counted as shard.join.fanouts.
-  Status Join(const std::string& attribute, size_t k,
-              std::vector<JoinRow>* results);
-  Status Join(const std::string& attribute, size_t k,
-              const QueryOptions& qopts, std::vector<JoinRow>* results,
-              QueryMeta* meta);
-
   /// Flush + fully compact every shard (primary and index tables).
   Status CompactAll();
 

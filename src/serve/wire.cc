@@ -61,8 +61,6 @@ const char* OpName(Op op) {
       return "PING";
     case kHealth:
       return "HEALTH";
-    case kJoin:
-      return "JOIN";
     case kLookupAnd:
       return "LOOKUPAND";
   }
@@ -98,10 +96,6 @@ void EncodeRequest(const Request& req, std::string* out) {
     case kStats:
     case kPing:
     case kHealth:
-      break;
-    case kJoin:
-      PutLengthPrefixedSlice(out, req.attribute);
-      PutFixed32(out, req.k);
       break;
     case kLookupAnd:
       PutLengthPrefixedSlice(out, req.attribute);
@@ -163,12 +157,6 @@ Status DecodeRequest(const Slice& payload, Request* req) {
     case kPing:
     case kHealth:
       req->op = static_cast<Op>(op);
-      break;
-    case kJoin:
-      req->op = kJoin;
-      if (!GetString(&in, &req->attribute) || !GetFixed32(&in, &req->k)) {
-        return Malformed("truncated JOIN");
-      }
       break;
     case kLookupAnd: {
       req->op = kLookupAnd;

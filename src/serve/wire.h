@@ -14,7 +14,6 @@
 //   kStats        (no fields)
 //   kPing         (no fields)
 //   kHealth       (no fields)
-//   kJoin         lp(attribute) fixed32(k)
 //   kLookupAnd    lp(attribute) lp(value) lp(attr2) fixed32(nin)
 //                 nin * lp(in value) fixed32(k)
 //   `deadline_micros` is the caller's REMAINING time budget when the frame
@@ -27,14 +26,13 @@
 // Response payload:  [code:1] fixed64(retry_after_micros) [flags:1]
 //                    fixed32(missing_shards) lp(payload) fixed32(nresults)
 //                    nresults * [lp(primary_key) fixed64(seq) lp(value)]
-//   The result list is non-empty only for LOOKUP / RANGELOOKUP / LOOKUPAND
-//   / JOIN; `payload` carries GET values, STATS / HEALTH JSON, PING's
-//   "pong", or the error message. A JOIN response flattens each joined pair
-//   into TWO consecutive results (left then right), so nresults is always
-//   2 * npairs. `retry_after_micros` is the server's suggested backoff
-//   (only with kRetryLater). Response `flags` bit 0 = degraded: the result
-//   list is missing `missing_shards` shards' contributions (only ever set
-//   when the request opted in); unknown bits are malformed.
+//   The result list is non-empty only for LOOKUP / RANGELOOKUP /
+//   LOOKUPAND; `payload` carries GET values, STATS / HEALTH JSON, PING's
+//   "pong", or the error message. `retry_after_micros` is the server's
+//   suggested backoff (only with kRetryLater). Response `flags` bit 0 =
+//   degraded: the result list is missing `missing_shards` shards'
+//   contributions (only ever set when the request opted in); unknown bits
+//   are malformed.
 //
 // Decoding is strict: a frame whose payload cannot be parsed EXACTLY —
 // unknown op, truncated field, or trailing bytes — is malformed, and the
@@ -73,13 +71,17 @@ enum Op : uint8_t {
   kStats = 6,
   kPing = 7,
   kHealth = 8,
-  kJoin = 9,        // Cross-shard self-join on one attribute
   kLookupAnd = 10,  // Conjunctive lookup: attr = v AND attr2 IN {...}
 };
 
-/// One past the highest assigned op value (ops are dense, starting at 1).
-/// queries_doc_test iterates [1, kOpCount) to prove every wire op has a
-/// docs/QUERIES.md row.
+/// Op value 9 carried the cross-shard self-join until joins were removed.
+/// It stays reserved, never reassigned, so a frame from an old client
+/// decodes as an unknown op (malformed) instead of as some newer request.
+constexpr uint8_t kRetiredJoinOp = 9;
+
+/// One past the highest assigned op value (ops start at 1 and are dense
+/// apart from the one retired value above). queries_doc_test iterates
+/// [1, kOpCount) to prove every wire op has a docs/QUERIES.md row.
 constexpr uint8_t kOpCount = 11;
 
 /// Wire-op name as documented in docs/QUERIES.md (e.g. "LOOKUPAND").
@@ -112,12 +114,12 @@ struct Request {
   bool allow_degraded = false;
   std::string key;        // kPut / kGet / kDelete
   std::string value;      // kPut: document. kLookup / kLookupAnd: attr value.
-  std::string attribute;  // kLookup / kRangeLookup / kJoin / kLookupAnd
+  std::string attribute;  // kLookup / kRangeLookup / kLookupAnd
   std::string lo;         // kRangeLookup
   std::string hi;         // kRangeLookup
   std::string attr2;      // kLookupAnd: the IN-predicate's attribute
   std::vector<std::string> in_values;  // kLookupAnd: the IN-set
-  uint32_t k = 0;         // kLookup / kRangeLookup / kJoin / kLookupAnd
+  uint32_t k = 0;         // kLookup / kRangeLookup / kLookupAnd
 };
 
 struct Response {

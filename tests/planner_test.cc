@@ -1,11 +1,10 @@
 // Differential coverage for the multi-attribute query engine (the planner
-// label): LookupAnd and JoinOnAttribute must return BYTE-IDENTICAL results
-// — same keys, same sequence numbers, same values, same order — no matter
-// which physical plan executes them: forced intersect vs filter-fetch,
-// either drive side, read_parallelism 0 vs 4, and sharded {1,4} vs
-// unsharded. Every configuration is also checked against
-// an in-memory brute-force reference, so the matrix can't agree on a
-// mutually wrong answer.
+// label): LookupAnd must return BYTE-IDENTICAL results — same keys, same
+// sequence numbers, same values, same order — no matter which physical plan
+// executes them: forced intersect vs filter-fetch, either drive side,
+// read_parallelism 0 vs 4, and sharded {1,4} vs unsharded. Every
+// configuration is also checked against an in-memory brute-force
+// reference, so the matrix can't agree on a mutually wrong answer.
 
 #include <gtest/gtest.h>
 
@@ -78,37 +77,6 @@ class Model {
     return keys;
   }
 
-  /// Brute-force nested-loop join on UserID against `inner`, ordered the
-  /// way JoinOnAttribute orders: outer recency desc, outer key asc, inner
-  /// recency desc, inner key asc.
-  std::vector<std::pair<std::string, std::string>> JoinPairs(
-      const Model& inner, size_t k) const {
-    struct Side {
-      uint64_t written_at;
-      std::string key;
-      std::string user;
-    };
-    auto rows = [](const Model& m) {
-      std::vector<Side> out;
-      for (const auto& [key, rec] : m.records_) {
-        out.push_back({rec.written_at, key, rec.user});
-      }
-      std::sort(out.begin(), out.end(), [](const Side& a, const Side& b) {
-        if (a.written_at != b.written_at) return a.written_at > b.written_at;
-        return a.key < b.key;
-      });
-      return out;
-    };
-    std::vector<std::pair<std::string, std::string>> pairs;
-    for (const Side& o : rows(*this)) {
-      for (const Side& i : rows(inner)) {
-        if (o.user == i.user) pairs.emplace_back(o.key, i.key);
-      }
-    }
-    if (k != 0 && pairs.size() > k) pairs.resize(k);
-    return pairs;
-  }
-
  private:
   std::map<std::string, Rec> records_;
   uint64_t counter_ = 0;
@@ -123,24 +91,6 @@ void ExpectSameResults(const std::vector<QueryResult>& want,
         << what << " [" << i << "]";
     EXPECT_EQ(want[i].seq, got[i].seq) << what << " [" << i << "]";
     EXPECT_EQ(want[i].value, got[i].value) << what << " [" << i << "]";
-  }
-}
-
-void ExpectSamePairs(const std::vector<JoinRow>& want,
-                     const std::vector<JoinRow>& got,
-                     const std::string& what) {
-  ASSERT_EQ(want.size(), got.size()) << what;
-  for (size_t i = 0; i < want.size(); i++) {
-    EXPECT_EQ(want[i].left.primary_key, got[i].left.primary_key)
-        << what << " [" << i << "]";
-    EXPECT_EQ(want[i].left.seq, got[i].left.seq) << what << " [" << i << "]";
-    EXPECT_EQ(want[i].left.value, got[i].left.value)
-        << what << " [" << i << "]";
-    EXPECT_EQ(want[i].right.primary_key, got[i].right.primary_key)
-        << what << " [" << i << "]";
-    EXPECT_EQ(want[i].right.seq, got[i].right.seq) << what << " [" << i << "]";
-    EXPECT_EQ(want[i].right.value, got[i].right.value)
-        << what << " [" << i << "]";
   }
 }
 
@@ -325,66 +275,6 @@ TEST_P(PlannerTest, ConjunctiveSemanticsAndErrors) {
                   .IsInvalidArgument());
 }
 
-TEST_P(PlannerTest, JoinMatchesBruteForceNestedLoop) {
-  Open(PlanConfig{});
-  Model outer_model, inner_model;
-  std::unique_ptr<SecondaryDB> inner;
-  {
-    SecondaryDBOptions options;
-    options.base.env = env_.get();
-    options.base.write_buffer_size = 32 << 10;
-    options.index_type = GetParam();
-    options.indexed_attributes = {"UserID", "CreationTime"};
-    ASSERT_TRUE(SecondaryDB::Open(options, "/pdb_inner", &inner).ok());
-  }
-
-  Random64 rnd(0x1015 ^ static_cast<uint64_t>(GetParam()));
-  for (int i = 0; i < 260; i++) {
-    std::string user = "user" + std::to_string(rnd.Uniform(6));
-    if (i % 3 != 2) {
-      std::string key = "a" + std::to_string(rnd.Uniform(70));
-      ASSERT_TRUE(db_->Put(key, MakeDoc(user, 1000 + i, "o")).ok());
-      outer_model.Put(key, user, 1000 + i);
-    } else {
-      std::string key = "b" + std::to_string(rnd.Uniform(50));
-      ASSERT_TRUE(inner->Put(key, MakeDoc(user, 2000 + i, "i")).ok());
-      inner_model.Put(key, user, 2000 + i);
-    }
-    if (rnd.Uniform(12) == 0) {
-      std::string victim = "a" + std::to_string(rnd.Uniform(70));
-      ASSERT_TRUE(db_->Delete(victim).ok());
-      outer_model.Delete(victim);
-    }
-  }
-
-  for (size_t k : {size_t{0}, size_t{7}}) {
-    std::vector<JoinRow> rows;
-    ASSERT_TRUE(
-        JoinOnAttribute(db_.get(), inner.get(), "UserID", k, &rows).ok());
-    std::vector<std::pair<std::string, std::string>> got;
-    for (const JoinRow& r : rows) {
-      got.emplace_back(r.left.primary_key, r.right.primary_key);
-    }
-    EXPECT_EQ(outer_model.JoinPairs(inner_model, k), got)
-        << "k=" << k << " type=" << IndexTypeName(GetParam());
-
-    // LSM shape must not change the answer: recompute fully compacted.
-    if (k == 0) {
-      ASSERT_TRUE(db_->CompactAll().ok());
-      ASSERT_TRUE(inner->CompactAll().ok());
-      std::vector<JoinRow> compacted;
-      ASSERT_TRUE(
-          JoinOnAttribute(db_.get(), inner.get(), "UserID", k, &compacted)
-              .ok());
-      ExpectSamePairs(rows, compacted,
-                      std::string("compacted join, type ") +
-                          IndexTypeName(GetParam()));
-    }
-  }
-  EXPECT_GT(db_->TotalTicker(kJoinOuterRows), 0u);
-  EXPECT_GT(db_->TotalTicker(kJoinPairs), 0u);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllIndexTypes, PlannerTest,
     testing::Values(IndexType::kNoIndex, IndexType::kEmbedded,
@@ -435,7 +325,7 @@ TEST(PlannerUnitTest, OverridesForceBothDimensions) {
 
 // ---- Sharded vs unsharded byte-identity for the new query surface ----
 
-TEST(PlannerShardedTest, ShardedConjunctiveAndJoinMatchUnsharded) {
+TEST(PlannerShardedTest, ShardedConjunctiveMatchesUnsharded) {
   std::vector<crash::Op> ops;
   for (size_t i = 0; i < 240; i++) {
     const std::string key = "k" + std::to_string((i * 37) % 90);
@@ -508,25 +398,13 @@ TEST(PlannerShardedTest, ShardedConjunctiveAndJoinMatchUnsharded) {
                                 ", k=" + std::to_string(k) + ")");
         }
       }
-
-      for (size_t k : {size_t{0}, size_t{9}}) {
-        std::vector<JoinRow> want, got;
-        ASSERT_TRUE(JoinOnAttribute(reference.get(), reference.get(),
-                                    "UserID", k, &want)
-                        .ok());
-        ASSERT_TRUE(sharded->Join("UserID", k, &got).ok());
-        ExpectSamePairs(want, got,
-                        trace + " Join(k=" + std::to_string(k) + ")");
-      }
-      EXPECT_GT(sharded->statistics()->Get(kShardJoinFanouts), 0u)
-          << trace;
     }
   }
 }
 
 // ---- Wire protocol: the new ops end to end and at the codec level ----
 
-TEST(PlannerWireTest, LookupAndAndJoinRequestsRoundTrip) {
+TEST(PlannerWireTest, LookupAndRequestRoundTrips) {
   wire::Request req;
   req.op = wire::kLookupAnd;
   req.deadline_micros = 12345;
@@ -551,21 +429,6 @@ TEST(PlannerWireTest, LookupAndAndJoinRequestsRoundTrip) {
   EXPECT_EQ(req.in_values, decoded.in_values);
   EXPECT_EQ(req.k, decoded.k);
 
-  wire::Request join;
-  join.op = wire::kJoin;
-  join.attribute = "UserID";
-  join.k = 3;
-  frame.clear();
-  wire::EncodeRequest(join, &frame);
-  ASSERT_TRUE(wire::DecodeRequest(
-                  Slice(frame.data() + wire::kHeaderBytes,
-                        frame.size() - wire::kHeaderBytes),
-                  &decoded)
-                  .ok());
-  EXPECT_EQ(wire::kJoin, decoded.op);
-  EXPECT_EQ("UserID", decoded.attribute);
-  EXPECT_EQ(3u, decoded.k);
-
   // Strict decode: a trailing byte is malformed, exactly like the old ops.
   frame.push_back('\0');
   EXPECT_TRUE(wire::DecodeRequest(
@@ -575,7 +438,7 @@ TEST(PlannerWireTest, LookupAndAndJoinRequestsRoundTrip) {
                   .IsCorruption());
 }
 
-TEST(PlannerWireTest, ServedLookupAndAndJoinMatchDirectCalls) {
+TEST(PlannerWireTest, ServedLookupAndMatchesDirectCalls) {
   std::unique_ptr<Env> env(NewMemEnv());
   ShardedDBOptions options;
   options.shard.base.env = env.get();
@@ -606,12 +469,6 @@ TEST(PlannerWireTest, ServedLookupAndAndJoinMatchDirectCalls) {
           .ok());
   ExpectSameResults(want, got, "served LookupAnd");
   EXPECT_FALSE(want.empty());
-
-  std::vector<JoinRow> want_rows, got_rows;
-  ASSERT_TRUE(db->Join("UserID", 25, &want_rows).ok());
-  ASSERT_TRUE(client->Join("UserID", 25, &got_rows).ok());
-  ExpectSamePairs(want_rows, got_rows, "served Join");
-  EXPECT_FALSE(want_rows.empty());
 
   server->Stop();
 }

@@ -151,6 +151,33 @@ TEST(ServeProtocolTest, OversizedFrameIsRefused) {
   EXPECT_TRUE(fx.Connect()->Ping().ok());
 }
 
+// Op 9 (the retired self-join) stays reserved: an old client's JOIN frame
+// decodes as an unknown op, so it is malformed — an error frame, a dropped
+// connection, and a server that keeps serving.
+TEST(ServeProtocolTest, RetiredJoinOpIsMalformed) {
+  ServeFixture fx;
+  std::unique_ptr<Client> client = fx.Connect();
+  // The frame layout the retired op used: lp(attribute) fixed32(k).
+  std::string payload;
+  payload.push_back(static_cast<char>(wire::kRetiredJoinOp));
+  PutFixed64(&payload, 0);  // No deadline
+  payload.push_back('\0');  // No flags
+  PutLengthPrefixedSlice(&payload, "UserID");
+  PutFixed32(&payload, 5);
+  std::string frame(wire::kHeaderBytes, '\0');
+  EncodeFixed32(&frame[0], static_cast<uint32_t>(payload.size()));
+  frame += payload;
+  ASSERT_TRUE(client->SendRaw(frame).ok());
+
+  wire::Response resp;
+  ASSERT_TRUE(client->ReadRawResponse(&resp, /*timeout=*/2000000).ok());
+  EXPECT_EQ(wire::kError, resp.code);
+  EXPECT_EQ(1u, fx.db->statistics()->Get(kServeMalformedFrames));
+
+  EXPECT_FALSE(client->ReadRawResponse(&resp, 2000000).ok());
+  EXPECT_TRUE(fx.Connect()->Ping().ok());
+}
+
 // A peer that vanishes mid-frame (torn header or torn payload) just closes
 // its handler; the server keeps serving.
 TEST(ServeProtocolTest, TornFramesDoNotWedgeTheServer) {

@@ -112,7 +112,9 @@ void CompareStores(SecondaryDB* reference, ShardedDB* sharded,
     Status gs = sharded->Get(key, &got_value);
     ASSERT_EQ(ws.ok(), gs.ok()) << "Get(" << key << ")";
     ASSERT_EQ(ws.IsNotFound(), gs.IsNotFound()) << "Get(" << key << ")";
-    if (ws.ok()) EXPECT_EQ(want_value, got_value) << "Get(" << key << ")";
+    if (ws.ok()) {
+      EXPECT_EQ(want_value, got_value) << "Get(" << key << ")";
+    }
   }
 }
 
@@ -483,7 +485,9 @@ TEST(ShardedDBTest, CrashAndReopenRecoversAcknowledgedOps) {
         std::string value;
         ASSERT_TRUE(db->Get(got[i].primary_key, &value).ok());
         EXPECT_EQ(value, got[i].value);
-        if (i > 0) EXPECT_GT(got[i - 1].seq, got[i].seq) << "order";
+        if (i > 0) {
+          EXPECT_GT(got[i - 1].seq, got[i].seq) << "order";
+        }
       }
       EXPECT_EQ(expect_keys, got_keys) << "user=" << user;
     }

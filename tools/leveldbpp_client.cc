@@ -11,7 +11,6 @@
 //   lookup ATTR VALUE [K]
 //   range ATTR LO HI [K]
 //   lookupand ATTR1 VALUE1 ATTR2 IN1[,IN2,...] [K]
-//   join ATTR [K]
 //   stats
 //   health
 //
@@ -23,8 +22,7 @@
 //                    down; a degraded answer is flagged on stderr.
 //
 // LOOKUP/RANGELOOKUP/LOOKUPAND print one line per result:
-// <seq> <key> <value>. JOIN (a self-join on one attribute) prints one line
-// per pair: <lseq> <lkey> <rseq> <rkey> <lvalue> <rvalue>.
+// <seq> <key> <value>.
 // Exit status: 0 ok, 1 not found / error, 2 usage.
 
 #include <cstdio>
@@ -48,7 +46,7 @@ void Usage() {
                "  ping | put K JSON | get K | del K |\n"
                "  lookup ATTR VALUE [K] | range ATTR LO HI [K] |\n"
                "  lookupand ATTR1 VALUE1 ATTR2 IN1[,IN2,...] [K] |\n"
-               "  join ATTR [K] | stats | health\n");
+               "  stats | health\n");
 }
 
 void PrintResults(const std::vector<QueryResult>& results) {
@@ -134,20 +132,6 @@ int main(int argc, char** argv) {
     std::vector<QueryResult> results;
     s = client->LookupAnd(args[1], args[2], args[3], in_values, k, &results);
     if (s.ok()) PrintResults(results);
-  } else if (cmd == "join" && (args.size() == 2 || args.size() == 3)) {
-    const uint32_t k = args.size() == 3 ? std::atoi(args[2].c_str()) : 0;
-    std::vector<JoinRow> pairs;
-    s = client->Join(args[1], k, &pairs);
-    if (s.ok()) {
-      for (const JoinRow& p : pairs) {
-        std::printf("%llu %s %llu %s %s %s\n",
-                    static_cast<unsigned long long>(p.left.seq),
-                    p.left.primary_key.c_str(),
-                    static_cast<unsigned long long>(p.right.seq),
-                    p.right.primary_key.c_str(), p.left.value.c_str(),
-                    p.right.value.c_str());
-      }
-    }
   } else if (cmd == "stats" && args.size() == 1) {
     std::string json;
     s = client->Stats(&json);
