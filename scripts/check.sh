@@ -124,18 +124,6 @@ if [[ -n "${SAN_FILTER}" ]]; then
   ASAN_OPTIONS="halt_on_error=1" ctest --preset asan -L serving
 fi
 
-# Planner: the conjunctive differential matrix — LookupAnd byte-identical
-# across forced plans, drive sides, read_parallelism, a full compaction,
-# and shard counts. The intersect path fans posting scans over the shared
-# pool (TSan) and the wire tests parse LOOKUPAND frames (ASan). Skipped
-# when --sanitize-all already ran the full suites.
-if [[ -n "${SAN_FILTER}" ]]; then
-  echo "==> TSan planner tests"
-  TSAN_OPTIONS="halt_on_error=1" ctest --preset tsan -L planner
-  echo "==> ASan planner tests"
-  ASAN_OPTIONS="halt_on_error=1" ctest --preset asan -L planner
-fi
-
 # End-to-end serving smoke: start the release server binary on an ephemeral
 # port, round-trip PUT/GET/LOOKUP through the CLI client, and shut it down.
 echo "==> Server smoke test"
@@ -153,7 +141,6 @@ build/tools/leveldbpp_client --port="${SMOKE_PORT}" ping
 build/tools/leveldbpp_client --port="${SMOKE_PORT}" put smoke '{"UserID":"u1","CreationTime":"5"}'
 build/tools/leveldbpp_client --port="${SMOKE_PORT}" get smoke | grep -q '"UserID":"u1"'
 build/tools/leveldbpp_client --port="${SMOKE_PORT}" lookup UserID u1 1 | grep -q smoke
-build/tools/leveldbpp_client --port="${SMOKE_PORT}" lookupand UserID u1 CreationTime 4,5,6 1 | grep -q smoke
 kill "${SMOKE_PID}"
 wait "${SMOKE_PID}" 2>/dev/null || true
 trap - EXIT

@@ -26,21 +26,14 @@ CandidateSink::CandidateSink(DBImpl* primary, size_t k,
                              const Slice& hi)
     : primary_(primary),
       heap_(k),
-      attribute_(&attribute),
+      attribute_(attribute),
       lo_(lo),
       hi_(hi),
       chunk_(ChunkSize(primary, k)) {}
 
-CandidateSink::CandidateSink(DBImpl* primary, size_t k, RecordFilter filter)
-    : primary_(primary),
-      heap_(k),
-      filter_(std::move(filter)),
-      chunk_(ChunkSize(primary, k)) {}
-
 bool CandidateSink::Matches(const Slice& record) const {
-  if (attribute_ == nullptr) return filter_(record);
   std::string attr_value;
-  if (!JsonAttributeExtractor::Instance()->Extract(record, *attribute_,
+  if (!JsonAttributeExtractor::Instance()->Extract(record, attribute_,
                                                    &attr_value)) {
     return false;
   }

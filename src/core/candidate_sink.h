@@ -1,10 +1,9 @@
 // CandidateSink: the one candidate-validation loop behind every posting-list
 // query — Eager / Lazy / Composite LOOKUP and RANGELOOKUP (paper Sections
-// 4.1.1, 4.1.2, 4.2) and SecondaryDB::LookupAnd. Eager RANGELOOKUP,
-// Composite and LookupAnd hand the sink a gathered batch
-// (OfferNewestFirst), which owns the newest-first order and its stop rule;
-// Lazy enumerates postings itself, applies its own stop rule through
-// WouldAdmit / Full / stale_admitted, and Offers each surviving
+// 4.1.1, 4.1.2, 4.2). Eager RANGELOOKUP and Composite hand the sink a
+// gathered batch (OfferNewestFirst), which owns the newest-first order and
+// its stop rule; Lazy enumerates postings itself, applies its own stop rule
+// through WouldAdmit / Full / stale_admitted, and Offers each surviving
 // (primary key, stored seq). The sink owns everything after that:
 //
 //   * the per-primary-key seen-set (a key is validated at most once);
@@ -13,7 +12,7 @@
 //     sequential walk, I/O-identical to Algorithm 1); above that candidates
 //     accumulate into chunks of max(K, p) keys (K counted as 64 when
 //     unlimited), each one MultiGetWithMeta;
-//   * the record predicate (attribute in [lo, hi], or a RecordFilter);
+//   * the record predicate: attribute in [lo, hi];
 //   * Algorithm 1's top-K heap, and the stale_admitted flag.
 //
 // Chunked resolution only changes WHEN candidates are checked, never WHAT is
@@ -43,8 +42,6 @@ class CandidateSink {
   /// [lo, hi]. `attribute`, `lo` and `hi` must outlive the sink.
   CandidateSink(DBImpl* primary, size_t k, const std::string& attribute,
                 const Slice& lo, const Slice& hi);
-  /// Validates a candidate by `filter` over its current record.
-  CandidateSink(DBImpl* primary, size_t k, RecordFilter filter);
 
   CandidateSink(const CandidateSink&) = delete;
   CandidateSink& operator=(const CandidateSink&) = delete;
@@ -98,9 +95,8 @@ class CandidateSink {
 
   DBImpl* const primary_;
   TopKCollector heap_;
-  const std::string* attribute_ = nullptr;  // Range predicate when set
-  Slice lo_, hi_;
-  RecordFilter filter_;  // Otherwise this predicate
+  const std::string& attribute_;
+  const Slice lo_, hi_;
   const size_t chunk_;
   std::set<std::string> seen_;
   std::vector<std::string> pending_;

@@ -158,16 +158,4 @@ Status CompositeIndex::EnumeratePostings(const Slice& value,
   return Status::OK();
 }
 
-Status CompositeIndex::EstimatePostingCount(const Slice& value,
-                                            uint64_t* count) {
-  *count = 0;
-  // No per-value metadata exists (each posting is its own key), so the
-  // estimate is the prefix scan itself — still index blocks only, no
-  // data-table access.
-  return ScanPostings(value, value,
-                      [&](const Slice& /*primary_key*/, uint64_t /*seq*/) {
-                        (*count)++;
-                      });
-}
-
 }  // namespace leveldbpp

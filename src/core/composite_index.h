@@ -38,7 +38,6 @@ class CompositeIndex : public StandAloneIndex {
                      std::vector<QueryResult>* results) override;
   Status EnumeratePostings(const Slice& value,
                            std::vector<PostingCandidate>* out) override;
-  Status EstimatePostingCount(const Slice& value, uint64_t* count) override;
 
   /// Composite key codec: attr value and primary key joined by 0x00.
   /// REQUIRES: attr values contain no NUL byte (the workload's attribute

@@ -183,14 +183,4 @@ Status EagerIndex::EnumeratePostings(const Slice& value,
   return Status::OK();
 }
 
-Status EagerIndex::EstimatePostingCount(const Slice& value, uint64_t* count) {
-  *count = 0;
-  std::string list_data;
-  Status s = index_db_->Get(ReadOptions(), value, &list_data);
-  if (s.IsNotFound()) return Status::OK();
-  if (!s.ok()) return s;
-  *count = PostingList::EntryCount(Slice(list_data));
-  return Status::OK();
-}
-
 }  // namespace leveldbpp

@@ -40,7 +40,6 @@ class EagerIndex : public StandAloneIndex {
                      std::vector<QueryResult>* results) override;
   Status EnumeratePostings(const Slice& value,
                            std::vector<PostingCandidate>* out) override;
-  Status EstimatePostingCount(const Slice& value, uint64_t* count) override;
 
  private:
   using StandAloneIndex::StandAloneIndex;

@@ -102,10 +102,7 @@ struct ScanBatch {
 }  // namespace
 
 Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
-                           std::vector<QueryResult>* results,
-                           const RecordFilter* filter,
-                           const std::string* prune_attr,
-                           const std::vector<std::string>* prune_values) {
+                           std::vector<QueryResult>* results) {
   results->clear();
   TopKCollector heap(k);
   const JsonAttributeExtractor* extractor = JsonAttributeExtractor::Instance();
@@ -121,35 +118,17 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
   const bool paranoid = primary_->options().paranoid_checks;
   const int parallelism = primary_->options().read_parallelism;
   Status error;
-  // Conjunctive pre-pruning (LookupWhere): a candidate block must ALSO be
-  // able to contain one of the residual IN values — the second attribute's
-  // embedded bloom + zone map answer that without reading the block. Sound
-  // because a pruned block provably holds no record passing the residual
-  // predicate, so skipping it cannot change the result set.
-  auto block_may_pass_residual = [&](Table* table, size_t block) {
-    if (prune_attr == nullptr || prune_values == nullptr ||
-        prune_values->empty()) {
-      return true;
-    }
-    for (const std::string& v : *prune_values) {
-      if (table->SecondaryBlockMayContain(*prune_attr, Slice(v), block)) {
-        return true;
-      }
-    }
-    return false;
-  };
   // Records admitted to the heap, so one record matched in several recency
   // buckets is counted once. The GetLite validity check already rejects
   // superseded copies; the set only guards against double-admitting the
   // SAME (key, seq) from overlapping sources.
   std::set<std::pair<std::string, SequenceNumber>> admitted;
 
-  // Does the record itself match? In-range and passes the filter.
+  // Does the record itself match? Its attribute lies in [lo, hi].
   auto matches = [&](const Slice& record, std::string* attr_scratch) {
     if (!extractor->Extract(record, attribute_, attr_scratch)) return false;
     Slice av(*attr_scratch);
-    if (av.compare(lo) < 0 || av.compare(hi) > 0) return false;
-    return filter == nullptr || (*filter)(record);
+    return av.compare(lo) >= 0 && av.compare(hi) <= 0;
   };
   // Would the heap take this record? It matches, is not yet admitted, and —
   // the paper's GetLite — is still the newest version of its key: only
@@ -208,7 +187,6 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
   // any thread.
   auto scan_block = [&](const DBImpl::BlockCandidate& c, ScanBatch* out,
                         std::string* attr_scratch) {
-    if (!block_may_pass_residual(c.table, c.block)) return Status::OK();
     std::unique_ptr<Iterator> it(
         c.table->NewDataBlockIterator(read_options, c.block));
     const size_t before = out->entries.size();

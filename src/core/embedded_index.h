@@ -50,26 +50,9 @@ class EmbeddedIndex : public SecondaryIndex {
     return Scan(lo, hi, k, results);
   }
 
-  /// Conjunctive LOOKUP: val(A) == value AND filter(record). The scan
-  /// machinery is Lookup's; `filter` is applied to the raw record right
-  /// after the driven attribute matches, and `prune_attr` / `prune_values`
-  /// (the residual IN-set) let the block selector ALSO consult the second
-  /// attribute's embedded bloom + zone map — a block is read only if it
-  /// might contain the driven value AND at least one residual value.
-  Status LookupWhere(const Slice& value, const RecordFilter& filter,
-                     const std::string& prune_attr,
-                     const std::vector<std::string>& prune_values, size_t k,
-                     std::vector<QueryResult>* results) {
-    return Scan(value, value, k, results, &filter, &prune_attr,
-                &prune_values);
-  }
-
  private:
   Status Scan(const Slice& lo, const Slice& hi, size_t k,
-              std::vector<QueryResult>* results,
-              const RecordFilter* filter = nullptr,
-              const std::string* prune_attr = nullptr,
-              const std::vector<std::string>* prune_values = nullptr);
+              std::vector<QueryResult>* results);
 };
 
 }  // namespace leveldbpp

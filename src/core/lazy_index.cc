@@ -243,19 +243,4 @@ Status LazyIndex::EnumeratePostings(const Slice& value,
   return s;
 }
 
-Status LazyIndex::EstimatePostingCount(const Slice& value, uint64_t* count) {
-  *count = 0;
-  // Raw entry count across fragments — duplicates and deletion markers
-  // included, so it can only overcount live postings (what the planner
-  // contract asks for) while staying a pure metadata walk.
-  return index_db_->GetFragments(
-      ReadOptions(), value,
-      [&](int /*rank*/, SequenceNumber /*fseq*/, bool frag_deleted,
-          const Slice& fragment) {
-        if (frag_deleted) return false;
-        *count += PostingList::EntryCount(fragment);
-        return true;
-      });
-}
-
 }  // namespace leveldbpp

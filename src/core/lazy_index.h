@@ -39,7 +39,6 @@ class LazyIndex : public StandAloneIndex {
                      std::vector<QueryResult>* results) override;
   Status EnumeratePostings(const Slice& value,
                            std::vector<PostingCandidate>* out) override;
-  Status EstimatePostingCount(const Slice& value, uint64_t* count) override;
 
  private:
   using StandAloneIndex::StandAloneIndex;

@@ -8,8 +8,7 @@
 namespace leveldbpp {
 
 Status NoIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
-                     std::vector<QueryResult>* results,
-                     const RecordFilter* filter) {
+                     std::vector<QueryResult>* results) {
   results->clear();
   TopKCollector heap(k);
   const JsonAttributeExtractor* extractor = JsonAttributeExtractor::Instance();
@@ -25,8 +24,7 @@ Status NoIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
         PerfCounterAdd(&PerfContext::candidate_records_scanned, 1);
         if (extractor->Extract(record, attribute_, &attr_scratch)) {
           Slice av(attr_scratch);
-          if (av.compare(lo) >= 0 && av.compare(hi) <= 0 &&
-              (filter == nullptr || (*filter)(record))) {
+          if (av.compare(lo) >= 0 && av.compare(hi) <= 0) {
             QueryResult r;
             r.primary_key = key.ToString();
             r.seq = seq;

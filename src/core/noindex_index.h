@@ -31,17 +31,9 @@ class NoIndex : public SecondaryIndex {
     return Scan(lo, hi, k, results);
   }
 
-  /// Conjunctive LOOKUP: val(A) == value AND filter(record). Same full
-  /// scan; the residual predicate is just one more check per record.
-  Status LookupWhere(const Slice& value, const RecordFilter& filter, size_t k,
-                     std::vector<QueryResult>* results) {
-    return Scan(value, value, k, results, &filter);
-  }
-
  private:
   Status Scan(const Slice& lo, const Slice& hi, size_t k,
-              std::vector<QueryResult>* results,
-              const RecordFilter* filter = nullptr);
+              std::vector<QueryResult>* results);
 };
 
 }  // namespace leveldbpp

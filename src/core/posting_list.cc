@@ -70,29 +70,6 @@ bool PostingList::Parse(const Slice& data, std::vector<PostingEntry>* out) {
   return true;
 }
 
-uint64_t PostingList::EntryCount(const Slice& data) {
-  // Entries never contain nested arrays, so counting the '[' openers after
-  // the list's own is exact — and quotes inside primary keys are escaped by
-  // AppendQuoted, keeping the in-string scan state honest.
-  uint64_t count = 0;
-  bool in_string = false;
-  for (size_t i = 1; i < data.size(); i++) {
-    const char c = data[i];
-    if (in_string) {
-      if (c == '\\') {
-        i++;
-      } else if (c == '"') {
-        in_string = false;
-      }
-    } else if (c == '"') {
-      in_string = true;
-    } else if (c == '[') {
-      count++;
-    }
-  }
-  return count;
-}
-
 void PostingList::Merge(
     const std::vector<std::vector<PostingEntry>>& fragments,
     bool drop_deletions, std::vector<PostingEntry>* out) {

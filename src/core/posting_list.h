@@ -41,10 +41,6 @@ class PostingList {
   /// Parse a serialized list. Returns false on malformed input.
   static bool Parse(const Slice& data, std::vector<PostingEntry>* out);
 
-  /// Number of entries in a serialized list (0 on malformed input) without
-  /// materializing the entries — the planner's cardinality probe.
-  static uint64_t EntryCount(const Slice& data);
-
   /// Merge fragments (each internally seq-descending), newest fragment
   /// first, into one seq-descending list with one entry per primary key
   /// (the newest occurrence wins). When `drop_deletions` is true, deletion

@@ -1,10 +1,5 @@
 #include "core/secondary_db.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
-
-#include "core/candidate_sink.h"
 #include "core/composite_index.h"
 #include "core/document.h"
 #include "core/eager_index.h"
@@ -255,146 +250,6 @@ Status SecondaryDB::RangeLookup(const std::string& attribute, const Slice& lo,
   primary_statistics()->RecordHistogram(LookupHistogram(options_.index_type),
                                         env->NowMicros() - start);
   return s;
-}
-
-Status SecondaryDB::LookupAnd(const std::string& attr1, const Slice& value1,
-                              const std::string& attr2,
-                              const std::vector<std::string>& in_values2,
-                              size_t k, std::vector<QueryResult>* results) {
-  results->clear();
-  if (attr1 == attr2) {
-    return Status::InvalidArgument("conjunctive attributes must differ: ",
-                                   attr1);
-  }
-  SecondaryIndex* idx1 = index(attr1);
-  if (idx1 == nullptr) {
-    return Status::InvalidArgument("attribute is not indexed: ", attr1);
-  }
-  SecondaryIndex* idx2 = index(attr2);
-  if (idx2 == nullptr) {
-    return Status::InvalidArgument("attribute is not indexed: ", attr2);
-  }
-  if (in_values2.empty()) return Status::OK();  // IN {} matches nothing
-  Env* env = index_base_.env != nullptr ? index_base_.env : Env::Posix();
-  const uint64_t start = env->NowMicros();
-  ScopedPerfTimer timer(&PerfContext::lookup_micros);
-
-  const std::set<std::string> inset(in_values2.begin(), in_values2.end());
-  const JsonAttributeExtractor* extractor =
-      JsonAttributeExtractor::Instance();
-  // The EXACT conjunctive predicate, applied to the CURRENT record of every
-  // surviving candidate. This final check is what makes every plan return
-  // byte-identical results: whatever superset a plan's index scans produce,
-  // the same records pass here. Locals live inside the lambda — the
-  // Embedded parallel path runs it on pool workers.
-  RecordFilter matches = [&extractor, &attr1, &value1, &attr2,
-                          &inset](const Slice& record) {
-    std::string a1, a2;
-    return extractor->Extract(record, attr1, &a1) && Slice(a1) == value1 &&
-           extractor->Extract(record, attr2, &a2) && inset.count(a2) != 0;
-  };
-
-  Status s;
-  if (!standalone()) {
-    // Scan variants have no posting lists to intersect: drive the scan on
-    // attr1 and fold the attr2 predicate in as a residual filter. Embedded
-    // additionally pre-prunes candidate blocks with attr2's embedded bloom
-    // + zone map (a pruned block provably holds no residual match).
-    if (options_.index_type == IndexType::kEmbedded) {
-      const std::vector<std::string> prune(inset.begin(), inset.end());
-      s = static_cast<EmbeddedIndex*>(idx1)->LookupWhere(value1, matches,
-                                                         attr2, prune, k,
-                                                         results);
-    } else {
-      s = static_cast<NoIndex*>(idx1)->LookupWhere(value1, matches, k,
-                                                   results);
-    }
-    primary_statistics()->RecordHistogram(kHistLookupAndMicros,
-                                          env->NowMicros() - start);
-    return s;
-  }
-
-  // Stand-alone variants: plan, enumerate postings, intersect (or not),
-  // then validate the survivors ONCE against the primary table.
-  uint64_t est1 = 0, est2 = 0;
-  s = idx1->EstimatePostingCount(value1, &est1);
-  if (!s.ok()) return s;
-  for (const std::string& v : inset) {
-    uint64_t c = 0;
-    s = idx2->EstimatePostingCount(Slice(v), &c);
-    if (!s.ok()) return s;
-    est2 += c;
-  }
-  const ConjunctivePlan plan =
-      PlanConjunctive(options_.index_type, est1, est2, options_.planner_mode,
-                      options_.planner_drive);
-  primary_statistics()->Record(kPlannerPlans);
-
-  // Enumerate one predicate's live posting set. Side 1 (the IN-set) is the
-  // union over its values; a primary key appearing under several IN values
-  // (stale postings from updates) keeps its NEWEST stored seq.
-  auto enumerate_side = [&](int side,
-                            std::vector<PostingCandidate>* out) -> Status {
-    if (side == 0) return idx1->EnumeratePostings(value1, out);
-    std::map<std::string, SequenceNumber> best;
-    for (const std::string& v : inset) {
-      std::vector<PostingCandidate> part;
-      Status ps = idx2->EnumeratePostings(Slice(v), &part);
-      if (!ps.ok()) return ps;
-      for (PostingCandidate& c : part) {
-        auto [it, inserted] = best.emplace(std::move(c.primary_key), c.seq);
-        if (!inserted && c.seq > it->second) it->second = c.seq;
-      }
-    }
-    out->clear();
-    out->reserve(best.size());
-    for (const auto& [pk, seq] : best) out->push_back({pk, seq});
-    return Status::OK();
-  };
-
-  std::vector<PostingCandidate> survivors;
-  uint64_t scanned = 0;
-  if (plan.strategy == ConjunctivePlan::Strategy::kIntersect) {
-    std::vector<PostingCandidate> drive_set, probe_set;
-    s = enumerate_side(plan.drive, &drive_set);
-    if (!s.ok()) return s;
-    s = enumerate_side(1 - plan.drive, &probe_set);
-    if (!s.ok()) return s;
-    scanned = drive_set.size() + probe_set.size();
-    std::map<std::string, SequenceNumber> probe;
-    for (PostingCandidate& c : probe_set) {
-      probe.emplace(std::move(c.primary_key), c.seq);
-    }
-    // Survivor seq is the max over both sides' stored seqs — symmetric in
-    // drive order, and still >= the seq any currently-matching record
-    // validates at (each side's stored seq individually is).
-    for (PostingCandidate& c : drive_set) {
-      auto it = probe.find(c.primary_key);
-      if (it == probe.end()) continue;
-      survivors.push_back(
-          {std::move(c.primary_key), std::max(c.seq, it->second)});
-    }
-  } else {
-    s = enumerate_side(plan.drive, &survivors);
-    if (!s.ok()) return s;
-    scanned = survivors.size();
-  }
-  primary_statistics()->Record(kIntersectPostingsScanned, scanned);
-  primary_statistics()->Record(kIntersectSurvivors, survivors.size());
-
-  // Validate newest-stored-first so top-K can stop early. The early stop is
-  // sound on the STORED seq bound: a currently-matching record's posting
-  // was written at its current seq in BOTH indexes, so every plan's
-  // survivor entry for it stores a seq >= the seq it validates at — once
-  // the next stored seq cannot displace the heap, no later survivor can.
-  CandidateSink sink(primary_.get(), k, matches);
-  s = sink.OfferNewestFirst(&survivors);
-  if (!s.ok()) return s;
-  s = sink.Finish(results);
-  if (!s.ok()) return s;
-  primary_statistics()->RecordHistogram(kHistLookupAndMicros,
-                                        env->NowMicros() - start);
-  return Status::OK();
 }
 
 Status SecondaryDB::CompactAll() {

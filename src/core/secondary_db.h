@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/planner.h"
 #include "core/secondary_index.h"
 #include "table/filter_policy.h"
 
@@ -44,13 +43,6 @@ struct SecondaryDBOptions {
   /// Bloom bits/key for the Embedded index's per-block secondary filters
   /// (the paper uses 20 by default and sweeps 5..30 in Appendix C.1).
   int embedded_bloom_bits_per_key = 20;
-
-  /// Conjunctive planner overrides (LookupAnd): force the physical strategy
-  /// and/or the drive side instead of the cost-based choice. Every
-  /// combination returns byte-identical results — the differential tests
-  /// sweep all of them (see core/planner.h).
-  PlannerMode planner_mode = PlannerMode::kAuto;
-  PlannerDrive planner_drive = PlannerDrive::kAuto;
 
   /// Crash-consistency mode. Forces Options::sync_writes on the primary
   /// table AND every stand-alone index table (each write fsyncs its WAL
@@ -112,21 +104,6 @@ class SecondaryDB {
   Status RangeLookup(const std::string& attribute, const Slice& lo,
                      const Slice& hi, size_t k,
                      std::vector<QueryResult>* results);
-
-  /// LOOKUPAND(A1 = v1 AND A2 IN in_values2, K): K most recent records
-  /// matching BOTH predicates, newest first. Both attributes must be
-  /// indexed and distinct; an empty IN-set returns no rows. Stand-alone
-  /// variants intersect posting lists or scan-plus-filter per the planner
-  /// (SecondaryDBOptions::planner_mode / planner_drive force a plan);
-  /// Embedded drives on A1's block filters and pre-prunes blocks with A2's
-  /// embedded bloom + zone map; NoIndex full-scans with both predicates.
-  /// Every plan validates survivors against the CURRENT primary record with
-  /// the full conjunction, so results are byte-identical across plans,
-  /// drive order, and read_parallelism.
-  Status LookupAnd(const std::string& attr1, const Slice& value1,
-                   const std::string& attr2,
-                   const std::vector<std::string>& in_values2, size_t k,
-                   std::vector<QueryResult>* results);
 
   // ---- Snapshot-consistent primary iteration ----
   //

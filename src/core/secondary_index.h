@@ -18,7 +18,6 @@
 #ifndef LEVELDBPP_CORE_SECONDARY_INDEX_H_
 #define LEVELDBPP_CORE_SECONDARY_INDEX_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,17 +50,11 @@ struct IndexOp {
 /// resolved, but NOT yet validated against the primary table. `seq` is the
 /// STORED sequence number, which is always >= the sequence the record
 /// validates at (a crash-stale posting stores a seq the primary never
-/// committed) — the property conjunctive/top-K early termination relies on.
+/// committed) — the property top-K early termination relies on.
 struct PostingCandidate {
   std::string primary_key;
   SequenceNumber seq = 0;
 };
-
-/// Extra exact predicate over a full record value, applied by the scan
-/// variants' conjunctive path after the driven attribute matched (and by
-/// CandidateSink to LookupAnd's posting survivors). Must be a pure function
-/// of the record bytes (it runs on pool workers under read_parallelism).
-using RecordFilter = std::function<bool(const Slice& record)>;
 
 class SecondaryIndex {
  public:
@@ -103,28 +96,14 @@ class SecondaryIndex {
   virtual Status RangeLookup(const Slice& lo, const Slice& hi, size_t k,
                              std::vector<QueryResult>* results) = 0;
 
-  // ---- Posting-list surface of the conjunctive planner (LookupAnd) ----
-
   /// Enumerate every live posting stored under `value` (see
-  /// PostingCandidate: deduplicated and deletion-resolved, unvalidated).
-  /// This is the enumeration half of Lookup — the half LookupAnd's
-  /// posting-list intersection consumes before validating survivors once.
-  /// Embedded/NoIndex keep no posting lists and return NotSupported (their
-  /// conjunctive path scans with an exact RecordFilter instead).
+  /// PostingCandidate: deduplicated and deletion-resolved, unvalidated):
+  /// the enumeration half of Lookup, without the primary-table validation.
+  /// Embedded/NoIndex keep no posting lists and return NotSupported.
   virtual Status EnumeratePostings(const Slice& value,
                                    std::vector<PostingCandidate>* out) {
     (void)value;
     (void)out;
-    return Status::NotSupported("index keeps no posting lists");
-  }
-
-  /// Estimated number of postings stored under `value` — the cardinality
-  /// input of the conjunctive planner's drive-side choice. May overcount
-  /// (duplicates across fragments, stale entries) but must never undercount
-  /// a live posting. NotSupported where EnumeratePostings is.
-  virtual Status EstimatePostingCount(const Slice& value, uint64_t* count) {
-    (void)value;
-    (void)count;
     return Status::NotSupported("index keeps no posting lists");
   }
 

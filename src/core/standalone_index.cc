@@ -16,7 +16,6 @@ Status StandAloneIndex::OpenIndexTable(const Options& base,
                                        const ValueMerger* merger) {
   Options options = base;
   options.create_if_missing = true;
-  options.error_if_exists = false;
   // Index tables are much smaller than the data table; scale their LSM
   // geometry down so they still develop several levels (the paper's index
   // tables have L=4 at 100GB scale — the level count is what drives the

@@ -235,8 +235,6 @@ Status DBImpl::Recover(VersionEdit* edit) {
       return Status::InvalidArgument(dbname_,
                                      "does not exist (create_if_missing=false)");
     }
-  } else if (options_.error_if_exists) {
-    return Status::InvalidArgument(dbname_, "exists (error_if_exists=true)");
   }
 
   Status s = versions_->Recover();
@@ -370,14 +368,6 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   }
   if (meta_out != nullptr) *meta_out = meta;
   return s;
-}
-
-std::string DBImpl::MaybeMergeWithMemTable(const Slice& key,
-                                           const Slice& value) {
-  // Handled inside WriteBatchInternal::InsertInto; retained for clarity of
-  // the write path (see header comment).
-  (void)key;
-  return value.ToString();
 }
 
 Status DBImpl::Put(const WriteOptions& o, const Slice& key,
@@ -615,7 +605,7 @@ uint64_t DBImpl::MemTableBytes() {
 uint64_t DBImpl::TotalBytes() {
   mutex_.AssertHeld();
   uint64_t total = MemTableBytes();
-  for (int level = 0; level < options_.num_levels; level++) {
+  for (int level = 0; level < kNumLevels; level++) {
     total += static_cast<uint64_t>(versions_->NumLevelBytes(level));
   }
   return total;
@@ -1292,7 +1282,7 @@ Status DBImpl::IngestExternalFiles(const IngestFeed& feed,
         const Slice largest = f.largest.user_key();
         int target = 0;
         if (!force_level0 && !base->OverlapInLevel(0, &smallest, &largest)) {
-          for (int level = 1; level < options_.num_levels &&
+          for (int level = 1; level < kNumLevels &&
                               !base->OverlapInLevel(level, &smallest, &largest);
                level++) {
             target = level;
@@ -2181,7 +2171,7 @@ void DBImpl::CompactRange(const Slice* begin, const Slice* end) {
   int max_level_with_files = 1;
   {
     Version* base = versions_->current();
-    for (int level = 1; level < options_.num_levels; level++) {
+    for (int level = 1; level < kNumLevels; level++) {
       if (base->OverlapInLevel(level, begin, end)) {
         max_level_with_files = level;
       }
@@ -2218,13 +2208,16 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
   MutexLock l(&mutex_);
   if (in.starts_with("num-files-at-level")) {
     in.remove_prefix(strlen("num-files-at-level"));
-    uint64_t level = 0;
+    // A decimal level below kNumLevels; stopping once the value is out of
+    // range keeps a long digit string from wrapping back into it.
+    if (in.empty()) return false;
+    int level = 0;
     for (size_t i = 0; i < in.size(); i++) {
       if (in[i] < '0' || in[i] > '9') return false;
       level = level * 10 + (in[i] - '0');
+      if (level >= kNumLevels) return false;
     }
-    if (level >= static_cast<uint64_t>(options_.num_levels)) return false;
-    *value = std::to_string(versions_->NumLevelFiles(static_cast<int>(level)));
+    *value = std::to_string(versions_->NumLevelFiles(level));
     return true;
   } else if (in == Slice("sstables")) {
     Version* current = versions_->current();

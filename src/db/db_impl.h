@@ -368,9 +368,6 @@ class DBImpl : public DB {
   /// Merged internal-key iterator over one ReadView, which it owns (and
   /// unpins on destruction); *snapshot receives the view's sequence.
   Iterator* NewInternalIterator(const ReadOptions&, SequenceNumber* snapshot);
-  /// Apply the Lazy-index memtable-local merge to a Put value. Returns the
-  /// value to insert (merged with the memtable's current newest fragment).
-  std::string MaybeMergeWithMemTable(const Slice& key, const Slice& value);
 
   // Constant after construction
   Env* const env_;

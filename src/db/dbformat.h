@@ -18,6 +18,12 @@ namespace leveldbpp {
 
 typedef uint64_t SequenceNumber;
 
+/// LSM geometry, fixed as in LevelDB (and the paper): levels L0..L6, each
+/// level >= 1 holding kLevelSizeMultiplier times the bytes of the one
+/// above. A MANIFEST that names a level at or past kNumLevels is corrupt.
+constexpr int kNumLevels = 7;
+constexpr int kLevelSizeMultiplier = 10;
+
 // Leave eight bits empty at the bottom so a type and sequence# can be packed
 // together into 64-bits.
 static const SequenceNumber kMaxSequenceNumber = ((0x1ull << 56) - 1);

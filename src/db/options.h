@@ -30,8 +30,6 @@ struct Options {
 
   /// If true, create the database if missing.
   bool create_if_missing = true;
-  /// If true, raise an error if the database already exists.
-  bool error_if_exists = false;
   /// If true, aggressively verify checksums and fail fast on corruption.
   bool paranoid_checks = false;
 
@@ -168,14 +166,9 @@ struct Options {
   /// paper engine.
   std::atomic<uint64_t>* shared_sequence = nullptr;
 
-  /// Size ratio between adjacent levels (paper/LevelDB: 10).
-  int level_size_multiplier = 10;
-
-  /// Max bytes for level 1; level i holds base * multiplier^(i-1).
+  /// Max bytes for level 1; level i holds base * kLevelSizeMultiplier^(i-1)
+  /// (the level count and multiplier are fixed, see db/dbformat.h).
   uint64_t max_bytes_for_level_base = 4ull << 20;  // 4 MB
-
-  /// Number of levels (L0..L6 like LevelDB).
-  int num_levels = 7;
 };
 
 struct ReadOptions {

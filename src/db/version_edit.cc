@@ -115,7 +115,7 @@ static bool GetInternalKey(Slice* input, InternalKey* dst) {
 
 static bool GetLevel(Slice* input, int* level) {
   uint32_t v;
-  if (GetVarint32(input, &v) && v < 100) {
+  if (GetVarint32(input, &v) && v < static_cast<uint32_t>(kNumLevels)) {
     *level = static_cast<int>(v);
     return true;
   }

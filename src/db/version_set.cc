@@ -12,11 +12,11 @@
 namespace leveldbpp {
 
 double VersionSet::MaxBytesForLevel(const Options& options, int level) {
-  // Level 0 is limited by file count, not bytes; level >= 1 grows by the
-  // configured multiplier (paper/LevelDB: 10x).
+  // Level 0 is limited by file count, not bytes; level >= 1 grows by
+  // kLevelSizeMultiplier (paper/LevelDB: 10x).
   double result = static_cast<double>(options.max_bytes_for_level_base);
   for (int l = 1; l < level; l++) {
-    result *= options.level_size_multiplier;
+    result *= kLevelSizeMultiplier;
   }
   return result;
 }
@@ -30,7 +30,7 @@ Version::Version(VersionSet* vset)
       next_(this),
       prev_(this),
       refs_(0),
-      files_(vset->options()->num_levels),
+      files_(kNumLevels),
       compaction_score_(-1),
       compaction_level_(-1) {}
 
@@ -415,7 +415,7 @@ class VersionSet::Builder {
  public:
   Builder(VersionSet* vset, Version* base) : vset_(vset), base_(base) {
     base_->Ref();
-    levels_.resize(vset_->options()->num_levels);
+    levels_.resize(kNumLevels);
   }
 
   ~Builder() {
@@ -460,7 +460,7 @@ class VersionSet::Builder {
       return f1->number < f2->number;
     };
 
-    for (int level = 0; level < vset_->options()->num_levels; level++) {
+    for (int level = 0; level < kNumLevels; level++) {
       // Merge the set of added files with the set of pre-existing files,
       // dropping any deleted files.
       std::vector<FileMetaData*> merged = base_->files_[level];
@@ -509,7 +509,7 @@ VersionSet::VersionSet(const std::string& dbname, const Options* options,
       log_number_(0),
       dummy_versions_(this),
       current_(nullptr),
-      compact_pointer_(options->num_levels) {
+      compact_pointer_(kNumLevels) {
   AppendVersion(new Version(this));
 }
 
@@ -711,7 +711,7 @@ void VersionSet::Finalize(Version* v) {
   int best_level = -1;
   double best_score = -1;
 
-  for (int level = 0; level < options_->num_levels - 1; level++) {
+  for (int level = 0; level < kNumLevels - 1; level++) {
     double score;
     if (level == 0) {
       // We treat level-0 specially by bounding the number of files instead
@@ -745,7 +745,7 @@ Status VersionSet::WriteSnapshot(log::Writer* log) {
   edit.SetComparatorName(icmp_.user_comparator()->Name());
 
   // Save compaction pointers
-  for (int level = 0; level < options_->num_levels; level++) {
+  for (int level = 0; level < kNumLevels; level++) {
     if (!compact_pointer_[level].empty()) {
       InternalKey key;
       key.DecodeFrom(Slice(compact_pointer_[level]));
@@ -754,7 +754,7 @@ Status VersionSet::WriteSnapshot(log::Writer* log) {
   }
 
   // Save files
-  for (int level = 0; level < options_->num_levels; level++) {
+  for (int level = 0; level < kNumLevels; level++) {
     for (FileMetaData* f : current_->files_[level]) {
       edit.AddFile(level, *f);
     }
@@ -767,13 +767,13 @@ Status VersionSet::WriteSnapshot(log::Writer* log) {
 
 int VersionSet::NumLevelFiles(int level) const {
   assert(level >= 0);
-  assert(level < options_->num_levels);
+  assert(level < kNumLevels);
   return static_cast<int>(current_->files_[level].size());
 }
 
 int64_t VersionSet::NumLevelBytes(int level) const {
   assert(level >= 0);
-  assert(level < options_->num_levels);
+  assert(level < kNumLevels);
   int64_t sum = 0;
   for (FileMetaData* f : current_->files_[level]) {
     sum += static_cast<int64_t>(f->file_size);
@@ -784,7 +784,7 @@ int64_t VersionSet::NumLevelBytes(int level) const {
 void VersionSet::AddLiveFiles(std::set<uint64_t>* live) {
   for (Version* v = dummy_versions_.next_; v != &dummy_versions_;
        v = v->next_) {
-    for (int level = 0; level < options_->num_levels; level++) {
+    for (int level = 0; level < kNumLevels; level++) {
       for (FileMetaData* f : v->files_[level]) {
         live->insert(f->number);
       }
@@ -834,7 +834,7 @@ Compaction* VersionSet::PickCompaction() {
   }
   const int level = current_->compaction_level_;
   assert(level >= 0);
-  assert(level + 1 < options_->num_levels);
+  assert(level + 1 < kNumLevels);
   Compaction* c = new Compaction(options_, level);
 
   // Pick the first file that comes after compact_pointer_[level]: this is
@@ -965,7 +965,7 @@ Compaction* VersionSet::CompactRange(int level, const InternalKey* begin,
 
 std::string VersionSet::LevelSummary() const {
   std::string r = "files[";
-  for (int level = 0; level < options_->num_levels; level++) {
+  for (int level = 0; level < kNumLevels; level++) {
     r += " " + std::to_string(current_->files_[level].size());
   }
   r += " ]";
@@ -976,7 +976,7 @@ Compaction::Compaction(const Options* options, int level)
     : level_(level),
       max_output_file_size_(TargetFileSize(options)),
       input_version_(nullptr),
-      level_ptrs_(options->num_levels, 0) {}
+      level_ptrs_(kNumLevels, 0) {}
 
 Compaction::~Compaction() {
   if (input_version_ != nullptr) {

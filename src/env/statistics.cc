@@ -63,10 +63,6 @@ const char* TickerName(Ticker t) {
     case kServeRetriesSuggested: return "serve.retries.suggested";
     case kShardHealthChecks: return "shard.health.checks";
     case kLookupDegraded: return "lookup.degraded";
-    case kPlannerPlans: return "query.planner.plans";
-    case kIntersectPostingsScanned:
-      return "query.intersect.postings.scanned";
-    case kIntersectSurvivors: return "query.intersect.survivors";
     case kTickerCount: break;
   }
   return "unknown";
@@ -85,7 +81,6 @@ const char* HistogramName(HistogramType h) {
     case kHistCompactionMicros: return "compaction.micros";
     case kHistWalSyncMicros: return "wal.sync.micros";
     case kHistFlushQueueDepth: return "flush.queue.depth";
-    case kHistLookupAndMicros: return "lookupand.micros";
     case kHistogramCount: break;
   }
   return "unknown";

@@ -77,9 +77,6 @@ enum Ticker : uint32_t {
   kServeRetriesSuggested,  // responses that carried a retry-after hint
   kShardHealthChecks,      // ShardHealth() probes (incl. the HEALTH wire op)
   kLookupDegraded,         // fan-out queries answered with partial results
-  kPlannerPlans,           // conjunctive plans produced by the query planner
-  kIntersectPostingsScanned,  // posting entries enumerated for LookupAnd
-  kIntersectSurvivors,     // candidates surviving intersection / pre-filter
   kTickerCount,
 };
 
@@ -102,7 +99,6 @@ enum HistogramType : uint32_t {
   kHistWalSyncMicros,          // fsync of the WAL inside Write
   kHistFlushQueueDepth,        // imm-queue depth after each rotation (count,
                                // not micros; depth > 1 only with pipelining)
-  kHistLookupAndMicros,        // one conjunctive SecondaryDB::LookupAnd
   kHistogramCount,
 };
 

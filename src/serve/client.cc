@@ -326,25 +326,6 @@ Status Client::RangeLookup(const std::string& attribute, const Slice& lo,
   return s;
 }
 
-Status Client::LookupAnd(const std::string& attr1, const Slice& value1,
-                         const std::string& attr2,
-                         const std::vector<std::string>& in_values2,
-                         uint32_t k, std::vector<QueryResult>* results) {
-  wire::Request req;
-  req.op = wire::kLookupAnd;
-  req.attribute = attr1;
-  req.value = value1.ToString();
-  req.attr2 = attr2;
-  req.in_values = in_values2;
-  req.k = k;
-  wire::Response resp;
-  Status s = RoundTrip(req, &resp);
-  if (!s.ok()) return s;
-  s = ToStatus(resp);
-  if (s.ok()) *results = std::move(resp.results);
-  return s;
-}
-
 Status Client::Stats(std::string* json) {
   wire::Request req;
   req.op = wire::kStats;

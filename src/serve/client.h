@@ -90,13 +90,6 @@ class Client {
                      const Slice& hi, uint32_t k,
                      std::vector<QueryResult>* results);
 
-  /// Conjunctive lookup (the LOOKUPAND op): attr1 = value1 AND
-  /// attr2 IN in_values2, newest K first.
-  Status LookupAnd(const std::string& attr1, const Slice& value1,
-                   const std::string& attr2,
-                   const std::vector<std::string>& in_values2, uint32_t k,
-                   std::vector<QueryResult>* results);
-
   /// Server-side aggregated stats JSON (ShardedDB::GetProperty).
   Status Stats(std::string* json);
 

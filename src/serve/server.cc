@@ -339,14 +339,6 @@ wire::Response Server::Execute(const wire::Request& req,
     case wire::kPing:
       resp.payload = "pong";
       break;
-    case wire::kLookupAnd: {
-      std::vector<QueryResult> results;
-      Status s = db_->LookupAnd(req.attribute, req.value, req.attr2,
-                                req.in_values, req.k, qopts, &results, &meta);
-      resp = wire::FromStatus(s);
-      if (s.ok()) resp.results = std::move(results);
-      break;
-    }
   }
 
   if (meta.degraded) {

@@ -301,31 +301,6 @@ Status ShardedDB::RangeLookup(const std::string& attribute, const Slice& lo,
       results, meta);
 }
 
-Status ShardedDB::LookupAnd(const std::string& attr1, const Slice& value1,
-                            const std::string& attr2,
-                            const std::vector<std::string>& in_values2,
-                            size_t k, std::vector<QueryResult>* results) {
-  return LookupAnd(attr1, value1, attr2, in_values2, k, QueryOptions(),
-                   results, nullptr);
-}
-
-Status ShardedDB::LookupAnd(const std::string& attr1, const Slice& value1,
-                            const std::string& attr2,
-                            const std::vector<std::string>& in_values2,
-                            size_t k, const QueryOptions& qopts,
-                            std::vector<QueryResult>* results,
-                            QueryMeta* meta) {
-  const std::string val1 = value1.ToString();
-  return FanOutQuery(
-      k, qopts,
-      [this, &attr1, &val1, &attr2, &in_values2,
-       k](int i, std::vector<QueryResult>* out) {
-        return shards_[i]->db->LookupAnd(attr1, val1, attr2, in_values2, k,
-                                         out);
-      },
-      results, meta);
-}
-
 Status ShardedDB::CompactAll() {
   for (auto& shard : shards_) {
     Status s = shard->db->CompactAll();

@@ -116,21 +116,6 @@ class ShardedDB {
                      const Slice& hi, size_t k, const QueryOptions& qopts,
                      std::vector<QueryResult>* results, QueryMeta* meta);
 
-  /// Cross-shard LOOKUPAND (the kLookupAnd wire op): per-shard
-  /// SecondaryDB::LookupAnd fanned out and merged to the global top-K.
-  /// Byte-identical to an unsharded LookupAnd over the same operation
-  /// stream — shards partition primary keys and seqs are globally unique,
-  /// so the global top-K is a subset of the union of per-shard top-Ks.
-  Status LookupAnd(const std::string& attr1, const Slice& value1,
-                   const std::string& attr2,
-                   const std::vector<std::string>& in_values2, size_t k,
-                   std::vector<QueryResult>* results);
-  Status LookupAnd(const std::string& attr1, const Slice& value1,
-                   const std::string& attr2,
-                   const std::vector<std::string>& in_values2, size_t k,
-                   const QueryOptions& qopts,
-                   std::vector<QueryResult>* results, QueryMeta* meta);
-
   /// Flush + fully compact every shard (primary and index tables).
   Status CompactAll();
 

@@ -61,8 +61,6 @@ const char* OpName(Op op) {
       return "PING";
     case kHealth:
       return "HEALTH";
-    case kLookupAnd:
-      return "LOOKUPAND";
   }
   return "UNKNOWN";
 }
@@ -96,16 +94,6 @@ void EncodeRequest(const Request& req, std::string* out) {
     case kStats:
     case kPing:
     case kHealth:
-      break;
-    case kLookupAnd:
-      PutLengthPrefixedSlice(out, req.attribute);
-      PutLengthPrefixedSlice(out, req.value);
-      PutLengthPrefixedSlice(out, req.attr2);
-      PutFixed32(out, static_cast<uint32_t>(req.in_values.size()));
-      for (const std::string& v : req.in_values) {
-        PutLengthPrefixedSlice(out, v);
-      }
-      PutFixed32(out, req.k);
       break;
   }
   FinishFrame(out, start);
@@ -158,24 +146,6 @@ Status DecodeRequest(const Slice& payload, Request* req) {
     case kHealth:
       req->op = static_cast<Op>(op);
       break;
-    case kLookupAnd: {
-      req->op = kLookupAnd;
-      uint32_t nin = 0;
-      if (!GetString(&in, &req->attribute) || !GetString(&in, &req->value) ||
-          !GetString(&in, &req->attr2) || !GetFixed32(&in, &nin)) {
-        return Malformed("truncated LOOKUPAND");
-      }
-      // Each IN value costs at least its 1-byte length prefix.
-      if (nin > in.size()) return Malformed("absurd IN count");
-      req->in_values.reserve(nin);
-      for (uint32_t i = 0; i < nin; i++) {
-        std::string v;
-        if (!GetString(&in, &v)) return Malformed("truncated IN value");
-        req->in_values.push_back(std::move(v));
-      }
-      if (!GetFixed32(&in, &req->k)) return Malformed("truncated LOOKUPAND");
-      break;
-    }
     default:
       return Malformed("unknown op");
   }

@@ -14,8 +14,6 @@
 //   kStats        (no fields)
 //   kPing         (no fields)
 //   kHealth       (no fields)
-//   kLookupAnd    lp(attribute) lp(value) lp(attr2) fixed32(nin)
-//                 nin * lp(in value) fixed32(k)
 //   `deadline_micros` is the caller's REMAINING time budget when the frame
 //   was sent (relative, so no cross-host clock agreement is needed; 0 = no
 //   deadline). The server anchors it to its own clock on arrival and checks
@@ -26,8 +24,8 @@
 // Response payload:  [code:1] fixed64(retry_after_micros) [flags:1]
 //                    fixed32(missing_shards) lp(payload) fixed32(nresults)
 //                    nresults * [lp(primary_key) fixed64(seq) lp(value)]
-//   The result list is non-empty only for LOOKUP / RANGELOOKUP /
-//   LOOKUPAND; `payload` carries GET values, STATS / HEALTH JSON, PING's
+//   The result list is non-empty only for LOOKUP / RANGELOOKUP;
+//   `payload` carries GET values, STATS / HEALTH JSON, PING's
 //   "pong", or the error message. `retry_after_micros` is the server's
 //   suggested backoff (only with kRetryLater). Response `flags` bit 0 =
 //   degraded: the result list is missing `missing_shards` shards'
@@ -71,20 +69,22 @@ enum Op : uint8_t {
   kStats = 6,
   kPing = 7,
   kHealth = 8,
-  kLookupAnd = 10,  // Conjunctive lookup: attr = v AND attr2 IN {...}
 };
 
-/// Op value 9 carried the cross-shard self-join until joins were removed.
-/// It stays reserved, never reassigned, so a frame from an old client
-/// decodes as an unknown op (malformed) instead of as some newer request.
+/// Retired op values stay reserved, never reassigned, so a frame from an
+/// old client decodes as an unknown op (malformed) instead of as some newer
+/// request. Op 9 carried the cross-shard self-join until joins were
+/// removed; op 10 carried LOOKUPAND (attr = v AND attr2 IN {...}) until the
+/// conjunctive lookup and its planner were removed.
 constexpr uint8_t kRetiredJoinOp = 9;
+constexpr uint8_t kRetiredLookupAndOp = 10;
 
-/// One past the highest assigned op value (ops start at 1 and are dense
-/// apart from the one retired value above). queries_doc_test iterates
-/// [1, kOpCount) to prove every wire op has a docs/QUERIES.md row.
+/// One past the highest op value ever assigned (ops start at 1 and are
+/// dense apart from the retired values above). queries_doc_test iterates
+/// [1, kOpCount) to prove every live wire op has a docs/QUERIES.md row.
 constexpr uint8_t kOpCount = 11;
 
-/// Wire-op name as documented in docs/QUERIES.md (e.g. "LOOKUPAND").
+/// Wire-op name as documented in docs/QUERIES.md (e.g. "RANGELOOKUP").
 const char* OpName(Op op);
 
 enum StatusCode : uint8_t {
@@ -113,13 +113,11 @@ struct Request {
   /// LOOKUP / RANGELOOKUP: accept partial results if some shards are down.
   bool allow_degraded = false;
   std::string key;        // kPut / kGet / kDelete
-  std::string value;      // kPut: document. kLookup / kLookupAnd: attr value.
-  std::string attribute;  // kLookup / kRangeLookup / kLookupAnd
+  std::string value;      // kPut: document. kLookup: attr value.
+  std::string attribute;  // kLookup / kRangeLookup
   std::string lo;         // kRangeLookup
   std::string hi;         // kRangeLookup
-  std::string attr2;      // kLookupAnd: the IN-predicate's attribute
-  std::vector<std::string> in_values;  // kLookupAnd: the IN-set
-  uint32_t k = 0;         // kLookup / kRangeLookup / kLookupAnd
+  uint32_t k = 0;         // kLookup / kRangeLookup
 };
 
 struct Response {

@@ -141,6 +141,33 @@ class IndexEquivalenceTest : public testing::TestWithParam<IndexType> {
             << "user=" << user << " k=" << k
             << " type=" << IndexTypeName(GetParam());
       }
+      CheckEnumeratePostings(user, model.Lookup(user, 0));
+    }
+  }
+
+  // The posting-list variants' EnumeratePostings (LOOKUP's enumeration
+  // half, before validation) yields each primary key at most once, and
+  // every live match among them; stale postings may add more.
+  void CheckEnumeratePostings(const std::string& user,
+                              const std::vector<std::string>& live) {
+    const IndexType type = GetParam();
+    if (type != IndexType::kLazy && type != IndexType::kEager &&
+        type != IndexType::kComposite) {
+      return;
+    }
+    std::vector<PostingCandidate> postings;
+    Status s = db_->index("UserID")->EnumeratePostings(user, &postings);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    std::set<std::string> keys;
+    for (const PostingCandidate& p : postings) {
+      EXPECT_TRUE(keys.insert(p.primary_key).second)
+          << "user=" << user << " key=" << p.primary_key
+          << " enumerated twice, type=" << IndexTypeName(type);
+    }
+    for (const std::string& key : live) {
+      EXPECT_EQ(1u, keys.count(key))
+          << "user=" << user << " live key=" << key
+          << " not enumerated, type=" << IndexTypeName(type);
     }
   }
 

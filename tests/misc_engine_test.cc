@@ -54,6 +54,10 @@ TEST_F(MiscEngineTest, Properties) {
   EXPECT_FALSE(db_->GetProperty("leveldbpp.nope", &value));
   EXPECT_FALSE(db_->GetProperty("other.prefix", &value));
   EXPECT_FALSE(db_->GetProperty("leveldbpp.num-files-at-level99", &value));
+  EXPECT_FALSE(db_->GetProperty("leveldbpp.num-files-at-level", &value));
+  // 2^64: wraps to 0 in a 64-bit accumulator.
+  EXPECT_FALSE(db_->GetProperty(
+      "leveldbpp.num-files-at-level18446744073709551616", &value));
 }
 
 TEST_F(MiscEngineTest, StatisticsRecordEngineActivity) {

@@ -173,15 +173,6 @@ class PerfContextTest : public testing::TestWithParam<IndexType> {
     }
   }
 
-  // LOOKUPAND(UserID == user u AND CreationTime IN {every other ctime}).
-  Status LookupAndEveryOtherTime(int u, size_t k,
-                                 std::vector<QueryResult>* results) {
-    std::vector<std::string> times;
-    for (uint64_t t = 1; t <= 1500; t += 2) times.push_back(Ctime(t));
-    return db_->LookupAnd("UserID", UserName(u), "CreationTime", times, k,
-                          results);
-  }
-
   // Named-counter totals over the full unlimited (k == 0) query sweep.
   CounterSnapshot CollectCounters() {
     PerfContext* perf = GetPerfContext();
@@ -199,8 +190,6 @@ class PerfContextTest : public testing::TestWithParam<IndexType> {
           db_->RangeLookup("CreationTime", Ctime(lo), Ctime(hi), 0, &results)
               .ok());
     }
-    std::vector<QueryResult> results;
-    EXPECT_TRUE(LookupAndEveryOtherTime(4, 0, &results).ok());
     CounterSnapshot snap;
     snap.posting_entries_scanned = perf->posting_entries_scanned;
     snap.candidate_records_scanned = perf->candidate_records_scanned;
@@ -265,26 +254,6 @@ TEST_P(PerfContextTest, NamedCountersIndependentOfParallelism) {
         << "p=" << parallelism;
     EXPECT_EQ(sequential.candidates_valid, parallel.candidates_valid)
         << "p=" << parallelism;
-  }
-}
-
-// LookupAnd validates its survivors through the same candidate sink as
-// Lookup, so a conjunctive query alone feeds the validation counters.
-TEST_P(PerfContextTest, LookupAndFeedsValidationCounters) {
-  Open(/*read_parallelism=*/0);
-  BuildWorkload();
-  PerfContext* perf = GetPerfContext();
-  EnablePerfContext();
-  perf->Reset();
-  std::vector<QueryResult> results;
-  ASSERT_TRUE(LookupAndEveryOtherTime(4, 0, &results).ok());
-  ASSERT_FALSE(results.empty());
-  const IndexType type = GetParam();
-  if (type == IndexType::kNoIndex || type == IndexType::kEmbedded) {
-    EXPECT_GT(perf->candidate_records_scanned, 0u);
-  } else {
-    EXPECT_GT(perf->candidates_validated, 0u);
-    EXPECT_EQ(results.size(), perf->candidates_valid);
   }
 }
 

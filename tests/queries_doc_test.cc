@@ -58,7 +58,6 @@ const char* const kQueryMethods[] = {
     "MultiGet",
     "Lookup",
     "RangeLookup",
-    "LookupAnd",
     "NewIterator",
     "GetSnapshot",
     "ReleaseSnapshot",
@@ -67,7 +66,8 @@ const char* const kQueryMethods[] = {
 std::set<std::string> WireOps() {
   std::set<std::string> ops;
   for (uint8_t i = 1; i < wire::kOpCount; i++) {
-    if (i == wire::kRetiredJoinOp) continue;  // Reserved, never reassigned
+    // Retired values stay reserved, never reassigned.
+    if (i == wire::kRetiredJoinOp || i == wire::kRetiredLookupAndOp) continue;
     const char* name = wire::OpName(static_cast<wire::Op>(i));
     EXPECT_STRNE("UNKNOWN", name) << "op value " << int(i) << " has no name";
     ops.insert(name);
@@ -139,11 +139,11 @@ TEST(QueriesDocTest, TableCoverageMatchesRegistrySizes) {
 }
 
 TEST(QueriesDocTest, OpNamesAreDenseAndNamed) {
-  // kOpCount must stay one past the highest op, with every value but the
-  // one reserved retired op named — the manual's wire table is generated
-  // against this registry.
-  EXPECT_EQ(wire::kLookupAnd + 1, wire::kOpCount);
-  EXPECT_EQ(size_t{wire::kOpCount} - 2, WireOps().size());
+  // kOpCount must stay one past the highest op value ever assigned, with
+  // every value but the two reserved retired ops named — the manual's wire
+  // table is generated against this registry.
+  EXPECT_EQ(wire::kRetiredLookupAndOp + 1, wire::kOpCount);
+  EXPECT_EQ(size_t{wire::kOpCount} - 3, WireOps().size());
 }
 
 }  // namespace

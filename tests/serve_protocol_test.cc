@@ -151,31 +151,51 @@ TEST(ServeProtocolTest, OversizedFrameIsRefused) {
   EXPECT_TRUE(fx.Connect()->Ping().ok());
 }
 
-// Op 9 (the retired self-join) stays reserved: an old client's JOIN frame
-// decodes as an unknown op, so it is malformed — an error frame, a dropped
-// connection, and a server that keeps serving.
-TEST(ServeProtocolTest, RetiredJoinOpIsMalformed) {
+// Retired ops stay reserved: an old client's frame for op 9 (the self-join)
+// or op 10 (LOOKUPAND) decodes as an unknown op, so it is malformed — an
+// error frame, a dropped connection, and a server that keeps serving.
+TEST(ServeProtocolTest, RetiredOpsAreMalformed) {
   ServeFixture fx;
-  std::unique_ptr<Client> client = fx.Connect();
-  // The frame layout the retired op used: lp(attribute) fixed32(k).
-  std::string payload;
-  payload.push_back(static_cast<char>(wire::kRetiredJoinOp));
-  PutFixed64(&payload, 0);  // No deadline
-  payload.push_back('\0');  // No flags
-  PutLengthPrefixedSlice(&payload, "UserID");
-  PutFixed32(&payload, 5);
-  std::string frame(wire::kHeaderBytes, '\0');
-  EncodeFixed32(&frame[0], static_cast<uint32_t>(payload.size()));
-  frame += payload;
-  ASSERT_TRUE(client->SendRaw(frame).ok());
+  auto header = [](uint8_t op) {
+    std::string payload;
+    payload.push_back(static_cast<char>(op));
+    PutFixed64(&payload, 0);  // No deadline
+    payload.push_back('\0');  // No flags
+    return payload;
+  };
+  // Each in the frame layout the retired op used.
+  // Join: lp(attribute) fixed32(k).
+  std::string join = header(wire::kRetiredJoinOp);
+  PutLengthPrefixedSlice(&join, "UserID");
+  PutFixed32(&join, 5);
+  // LOOKUPAND: lp(attribute) lp(value) lp(attr2) fixed32(nin)
+  // nin * lp(in value) fixed32(k).
+  std::string lookup_and = header(wire::kRetiredLookupAndOp);
+  PutLengthPrefixedSlice(&lookup_and, "UserID");
+  PutLengthPrefixedSlice(&lookup_and, "u1");
+  PutLengthPrefixedSlice(&lookup_and, "CreationTime");
+  PutFixed32(&lookup_and, 2);
+  PutLengthPrefixedSlice(&lookup_and, "4");
+  PutLengthPrefixedSlice(&lookup_and, "5");
+  PutFixed32(&lookup_and, 1);
 
-  wire::Response resp;
-  ASSERT_TRUE(client->ReadRawResponse(&resp, /*timeout=*/2000000).ok());
-  EXPECT_EQ(wire::kError, resp.code);
-  EXPECT_EQ(1u, fx.db->statistics()->Get(kServeMalformedFrames));
+  uint64_t malformed = 0;
+  for (const std::string& payload : {join, lookup_and}) {
+    SCOPED_TRACE(int(static_cast<uint8_t>(payload[0])));
+    std::unique_ptr<Client> client = fx.Connect();
+    std::string frame(wire::kHeaderBytes, '\0');
+    EncodeFixed32(&frame[0], static_cast<uint32_t>(payload.size()));
+    frame += payload;
+    ASSERT_TRUE(client->SendRaw(frame).ok());
 
-  EXPECT_FALSE(client->ReadRawResponse(&resp, 2000000).ok());
-  EXPECT_TRUE(fx.Connect()->Ping().ok());
+    wire::Response resp;
+    ASSERT_TRUE(client->ReadRawResponse(&resp, /*timeout=*/2000000).ok());
+    EXPECT_EQ(wire::kError, resp.code);
+    EXPECT_EQ(++malformed, fx.db->statistics()->Get(kServeMalformedFrames));
+
+    EXPECT_FALSE(client->ReadRawResponse(&resp, 2000000).ok());
+    EXPECT_TRUE(fx.Connect()->Ping().ok());
+  }
 }
 
 // A peer that vanishes mid-frame (torn header or torn payload) just closes

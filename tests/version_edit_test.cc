@@ -123,4 +123,32 @@ TEST(VersionEditTest, DecodeIgnoresRetiredSortedViewTag) {
   EXPECT_FALSE(parsed.DecodeFrom(truncated).ok());
 }
 
+TEST(VersionEditTest, DecodeRejectsLevelPastLevelCount) {
+  // A level at or past kNumLevels would index past the per-level arrays
+  // VersionSet sizes to kNumLevels, so each level-carrying record must
+  // decode to Corruption; the deepest real level still decodes.
+  FileMetaData meta;
+  meta.number = 9;
+  meta.file_size = 10;
+  meta.smallest = InternalKey("a", 1, kTypeValue);
+  meta.largest = InternalKey("b", 2, kTypeValue);
+  for (int level : {kNumLevels - 1, kNumLevels}) {
+    VersionEdit add, remove, pointer;
+    add.AddFile(level, meta);
+    remove.RemoveFile(level, 9);
+    pointer.SetCompactPointer(level, InternalKey("x", 3, kTypeValue));
+    for (const VersionEdit* edit : {&add, &remove, &pointer}) {
+      std::string encoded;
+      edit->EncodeTo(&encoded);
+      VersionEdit parsed;
+      Status s = parsed.DecodeFrom(encoded);
+      if (level < kNumLevels) {
+        EXPECT_TRUE(s.ok()) << s.ToString();
+      } else {
+        EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+      }
+    }
+  }
+}
+
 }  // namespace leveldbpp

@@ -10,7 +10,6 @@
 //   del KEY
 //   lookup ATTR VALUE [K]
 //   range ATTR LO HI [K]
-//   lookupand ATTR1 VALUE1 ATTR2 IN1[,IN2,...] [K]
 //   stats
 //   health
 //
@@ -21,8 +20,7 @@
 // --allow-degraded   accept partial LOOKUP/RANGE results when shards are
 //                    down; a degraded answer is flagged on stderr.
 //
-// LOOKUP/RANGELOOKUP/LOOKUPAND print one line per result:
-// <seq> <key> <value>.
+// LOOKUP/RANGELOOKUP print one line per result: <seq> <key> <value>.
 // Exit status: 0 ok, 1 not found / error, 2 usage.
 
 #include <cstdio>
@@ -45,7 +43,6 @@ void Usage() {
                "    COMMAND ...\n"
                "  ping | put K JSON | get K | del K |\n"
                "  lookup ATTR VALUE [K] | range ATTR LO HI [K] |\n"
-               "  lookupand ATTR1 VALUE1 ATTR2 IN1[,IN2,...] [K] |\n"
                "  stats | health\n");
 }
 
@@ -117,20 +114,6 @@ int main(int argc, char** argv) {
     const uint32_t k = args.size() == 5 ? std::atoi(args[4].c_str()) : 0;
     std::vector<QueryResult> results;
     s = client->RangeLookup(args[1], args[2], args[3], k, &results);
-    if (s.ok()) PrintResults(results);
-  } else if (cmd == "lookupand" && (args.size() == 5 || args.size() == 6)) {
-    const uint32_t k = args.size() == 6 ? std::atoi(args[5].c_str()) : 0;
-    // The IN-set argument is comma-separated: "a,b,c" -> {a, b, c}.
-    std::vector<std::string> in_values;
-    const std::string& in_arg = args[4];
-    for (size_t pos = 0; pos <= in_arg.size();) {
-      size_t comma = in_arg.find(',', pos);
-      if (comma == std::string::npos) comma = in_arg.size();
-      in_values.push_back(in_arg.substr(pos, comma - pos));
-      pos = comma + 1;
-    }
-    std::vector<QueryResult> results;
-    s = client->LookupAnd(args[1], args[2], args[3], in_values, k, &results);
     if (s.ok()) PrintResults(results);
   } else if (cmd == "stats" && args.size() == 1) {
     std::string json;
