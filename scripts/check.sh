@@ -141,6 +141,18 @@ build/tools/leveldbpp_client --port="${SMOKE_PORT}" ping
 build/tools/leveldbpp_client --port="${SMOKE_PORT}" put smoke '{"UserID":"u1","CreationTime":"5"}'
 build/tools/leveldbpp_client --port="${SMOKE_PORT}" get smoke | grep -q '"UserID":"u1"'
 build/tools/leveldbpp_client --port="${SMOKE_PORT}" lookup UserID u1 1 | grep -q smoke
+# A malformed or negative K is a usage error (exit 2), never "no limit".
+for SMOKE_CMD in "lookup UserID u1 abc" "lookup UserID u1 -1" \
+                 "range UserID u0 u9 abc"; do
+  SMOKE_RC=0
+  # shellcheck disable=SC2086  # word-split the command on purpose
+  build/tools/leveldbpp_client --port="${SMOKE_PORT}" ${SMOKE_CMD} \
+    > /dev/null 2>&1 || SMOKE_RC=$?
+  if [[ "${SMOKE_RC}" != 2 ]]; then
+    echo "leveldbpp_client ${SMOKE_CMD}: exit ${SMOKE_RC}, want 2"
+    exit 1
+  fi
+done
 kill "${SMOKE_PID}"
 wait "${SMOKE_PID}" 2>/dev/null || true
 trap - EXIT

@@ -6,13 +6,17 @@
 #include "core/embedded_index.h"
 #include "core/lazy_index.h"
 #include "core/noindex_index.h"
-#include "db/event_listener.h"
 #include "env/env.h"
 #include "util/perf_context.h"
 
 namespace leveldbpp {
 
 namespace {
+
+// Bloom bits/key for primary-key filters, in every variant (LevelDB's
+// default). Open and Repair both build the primary's filter from it, so a
+// repair rewrite regenerates the same blooms.
+constexpr int kPrimaryBloomBitsPerKey = 10;
 
 HistogramType LookupHistogram(IndexType type) {
   switch (type) {
@@ -30,8 +34,7 @@ HistogramType LookupHistogram(IndexType type) {
 SecondaryDB::SecondaryDB(const SecondaryDBOptions& options)
     : options_(options),
       primary_stats_(new Statistics),
-      primary_filter_(
-          NewBloomFilterPolicy(options.primary_bloom_bits_per_key)),
+      primary_filter_(NewBloomFilterPolicy(kPrimaryBloomBitsPerKey)),
       secondary_filter_(
           NewBloomFilterPolicy(options.embedded_bloom_bits_per_key)) {}
 
@@ -45,12 +48,12 @@ Status SecondaryDB::Open(const SecondaryDBOptions& options,
   Status s = env->CreateDir(path);
   if (!s.ok()) return s;
 
-  // Crash-consistency mode syncs every table's WAL, the index tables'
-  // internal writes included — that is the whole point of routing the knob
-  // through Options instead of per-call WriteOptions.
+  // Crash-consistency mode (base.sync_writes) reaches the index tables
+  // through index_base_, so their internal writes sync too — that is the
+  // whole point of routing the knob through Options instead of per-call
+  // WriteOptions.
   Options base = options.base;
   base.env = env;
-  base.sync_writes = base.sync_writes || options.sync_writes;
   db->path_ = path;
   db->index_base_ = base;
   // Only the PRIMARY table's sequences are globally meaningful (postings
@@ -145,7 +148,7 @@ Status SecondaryDB::Put(const Slice& key, const Slice& json_value,
     }
   }
 
-  if (options_.sync_writes) {
+  if (options_.base.sync_writes) {
     // Crash-consistency ordering: durably write the index entries FIRST,
     // tagged with the sequence number the primary write will carry (claimed
     // up front — under a shard-shared counter the claim reserves it; without
@@ -199,13 +202,14 @@ Status SecondaryDB::Delete(const Slice& key, const WriteControl& ctl) {
     }
   }
 
-  // Delete stays primary-first even in sync_writes mode — the OPPOSITE of
-  // Put's crash ordering, for the same reason. A Lazy deletion marker
-  // shadows every older posting for its key, so an index-first crash could
-  // leave a phantom marker hiding a record the primary still holds: a live
-  // record silently missing from query results, unfilterable. Primary-first
-  // instead leaves at worst a primary tombstone with lingering index
-  // postings, which validation filters (the primary Get misses).
+  // Delete stays primary-first even in base.sync_writes mode — the
+  // OPPOSITE of Put's crash ordering, for the same reason. A Lazy deletion
+  // marker shadows every older posting for its key, so an index-first crash
+  // could leave a phantom marker hiding a record the primary still holds: a
+  // live record silently missing from query results, unfilterable.
+  // Primary-first instead leaves at worst a primary tombstone with
+  // lingering index postings, which validation filters (the primary Get
+  // misses).
   WriteOptions wo;
   wo.no_stall = ctl.no_stall;
   Status s = primary_->Delete(wo, key);
@@ -278,7 +282,7 @@ Status SecondaryDB::Repair(const SecondaryDBOptions& options,
   // Reconstruct the primary table's effective options exactly as Open
   // would, so the repair rewrite regenerates the same blooms / zone maps.
   std::unique_ptr<const FilterPolicy> primary_filter(
-      NewBloomFilterPolicy(options.primary_bloom_bits_per_key));
+      NewBloomFilterPolicy(kPrimaryBloomBitsPerKey));
   std::unique_ptr<const FilterPolicy> secondary_filter(
       NewBloomFilterPolicy(options.embedded_bloom_bits_per_key));
   Options primary_options = options.base;
@@ -372,7 +376,6 @@ Status SecondaryDB::RebuildIndex() {
   Statistics* stats = primary_statistics();
   std::string attr_value;
   Status put_error;
-  std::vector<uint64_t> entries_per_index(indexes_.size(), 0);
   s = primary_->ScanAll(
       ReadOptions(),
       [&](const Slice& key, SequenceNumber seq, const Slice& value) {
@@ -386,29 +389,11 @@ Status SecondaryDB::RebuildIndex() {
             put_error = ps;
             return false;
           }
-          entries_per_index[i]++;
           if (stats != nullptr) stats->Record(kIndexRebuildEntries);
         }
         return true;
       });
   if (s.ok()) s = put_error;
-  if (s.ok() && !options_.base.listeners.empty()) {
-    // One event per rebuilt index, after its refill completed.
-    for (size_t i = 0; i < indexes_.size(); i++) {
-      IndexRebuildInfo info;
-      info.db_name = path_;
-      info.attribute = indexes_[i]->attribute();
-      info.entries = entries_per_index[i];
-      for (const std::shared_ptr<EventListener>& l : options_.base.listeners) {
-        if (l == nullptr) continue;
-        try {
-          l->OnIndexRebuild(info);
-        } catch (...) {
-          // Listener exceptions never propagate into the engine.
-        }
-      }
-    }
-  }
   return s;
 }
 

@@ -28,6 +28,15 @@ namespace leveldbpp {
 struct SecondaryDBOptions {
   /// Base engine options (env, buffer sizes, compression, ...). The
   /// comparator / filter / extractor fields are managed internally.
+  /// `base.sync_writes` is the crash-consistency mode: it syncs the WAL of
+  /// the primary table AND every stand-alone index table before each write
+  /// is acknowledged, and flips Put to write index entries BEFORE the
+  /// primary record. With that ordering, a crash at any point leaves at
+  /// worst a stale index posting — which query-time validation against the
+  /// primary already filters — never a missing one; so an acknowledged Put
+  /// is always queryable after recovery. Requires a single writer thread
+  /// (Put predicts the primary's next sequence number) unless
+  /// `base.shared_sequence` is set.
   Options base;
 
   /// Which of the five strategies indexes the attributes.
@@ -36,24 +45,9 @@ struct SecondaryDBOptions {
   /// Secondary attributes to index (e.g. {"UserID", "CreationTime"}).
   std::vector<std::string> indexed_attributes;
 
-  /// Bloom bits/key for primary-key filters (all variants; LevelDB default
-  /// is 10).
-  int primary_bloom_bits_per_key = 10;
-
   /// Bloom bits/key for the Embedded index's per-block secondary filters
   /// (the paper uses 20 by default and sweeps 5..30 in Appendix C.1).
   int embedded_bloom_bits_per_key = 20;
-
-  /// Crash-consistency mode. Forces Options::sync_writes on the primary
-  /// table AND every stand-alone index table (each write fsyncs its WAL
-  /// before acknowledging), and flips Put to write index entries BEFORE
-  /// the primary record. With that ordering, a crash at any point leaves at
-  /// worst a stale index posting — which query-time validation against the
-  /// primary already filters — never a missing one; so an acknowledged Put
-  /// is always queryable after recovery. Requires a single writer thread
-  /// (Put predicts the primary's next sequence number). Default off: the
-  /// paper benches measure buffered writes.
-  bool sync_writes = false;
 };
 
 class SecondaryDB {
@@ -71,7 +65,7 @@ class SecondaryDB {
   struct WriteControl {
     /// See WriteOptions::no_stall: return Status::Busy instead of parking
     /// on the PRIMARY table's stall ladder. A Busy return means nothing was
-    /// applied to the primary; in sync_writes mode the index postings
+    /// applied to the primary; in base.sync_writes mode the index postings
     /// written first may remain as stale entries — exactly the state a
     /// crash between the two writes leaves, which query-time validation
     /// already filters. Index-table writes themselves keep the blocking

@@ -6,7 +6,6 @@
 
 #include "db/builder.h"
 #include "db/db_iter.h"
-#include "db/event_listener.h"
 #include "db/filename.h"
 #include "db/value_merger.h"
 #include "env/thread_pool.h"
@@ -91,28 +90,6 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       versions_(new VersionSet(dbname_, &options_, table_cache_.get(),
                                &internal_comparator_)) {
   table_cache_->SetQuarantine(&quarantine_);
-  if (!options_.listeners.empty()) {
-    // Installed before any read can fail a checksum; BlockQuarantine fires
-    // the callback outside its own lock, and block reads never hold mutex_.
-    quarantine_.SetNotifyFn([this](uint64_t file, uint64_t offset) {
-      BlockQuarantinedInfo info;
-      info.db_name = dbname_;
-      info.file_number = file;
-      info.block_offset = offset;
-      NotifyListeners([&](EventListener* l) { l->OnBlockQuarantined(info); });
-    });
-  }
-}
-
-void DBImpl::NotifyListeners(const std::function<void(EventListener*)>& fn) {
-  for (const std::shared_ptr<EventListener>& l : options_.listeners) {
-    if (l == nullptr) continue;
-    try {
-      fn(l.get());
-    } catch (...) {
-      // A listener must never wedge the engine; its exception is dropped.
-    }
-  }
 }
 
 DBImpl::~DBImpl() {
@@ -336,8 +313,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, VersionEdit* edit,
   return s;
 }
 
-Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
-                                FileMetaData* meta_out) {
+Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit) {
   mutex_.AssertHeld();
   FileMetaData meta;
   meta.number = versions_->NewFileNumber();
@@ -366,7 +342,6 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   if (options_.statistics != nullptr) {
     options_.statistics->Record(kFlushCount);
   }
-  if (meta_out != nullptr) *meta_out = meta;
   return s;
 }
 
@@ -477,23 +452,11 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
         options_.statistics->Record(kGroupCommitWrites, group_size);
       }
       if (status.ok() && sync) {
-        const bool observe_sync =
-            stats != nullptr || !options_.listeners.empty();
-        const uint64_t sync_start = observe_sync ? env_->NowMicros() : 0;
+        const uint64_t sync_start = stats != nullptr ? env_->NowMicros() : 0;
         status = logfile_->Sync();
-        if (observe_sync) {
-          const uint64_t sync_micros = env_->NowMicros() - sync_start;
-          if (stats != nullptr) {
-            stats->RecordHistogram(kHistWalSyncMicros, sync_micros);
-          }
-          if (!options_.listeners.empty()) {
-            WalSyncInfo info;
-            info.db_name = dbname_;
-            info.bytes = WriteBatchInternal::ByteSize(write_batch);
-            info.micros = sync_micros;
-            info.status = status;
-            NotifyListeners([&](EventListener* l) { l->OnWalSync(info); });
-          }
+        if (stats != nullptr) {
+          stats->RecordHistogram(kHistWalSyncMicros,
+                                 env_->NowMicros() - sync_start);
         }
       }
       if (status.ok()) {
@@ -804,18 +767,6 @@ void DBImpl::RecordBackgroundError(const Status& s) {
   if (bg_error_.ok()) {
     bg_error_ = s;
     background_work_finished_signal_.SignalAll();
-    if (!options_.listeners.empty()) {
-      // The sticky error is already published and waiters woken, so the
-      // state any concurrent thread observes during the unlock window is
-      // final; every caller tolerates an unlock here (each one has just
-      // dropped the mutex around its own WAL or table I/O).
-      BackgroundErrorInfo info;
-      info.db_name = dbname_;
-      info.status = s;
-      mutex_.Unlock();
-      NotifyListeners([&](EventListener* l) { l->OnBackgroundError(info); });
-      mutex_.Lock();
-    }
   }
 }
 
@@ -904,25 +855,13 @@ Status DBImpl::CompactMemTable() {
   assert(!flush_in_progress_);
   flush_in_progress_ = true;
   Statistics* const stats = options_.statistics;
-  const bool observe = stats != nullptr || !options_.listeners.empty();
-  const uint64_t start_micros = observe ? env_->NowMicros() : 0;
-  if (!options_.listeners.empty()) {
-    // flush_in_progress_ guards re-entry and pins this job's claim on the
-    // queue front, so the mutex may be released to keep the
-    // no-lock-in-callback rule.
-    FlushJobInfo info;
-    info.db_name = dbname_;
-    mutex_.Unlock();
-    NotifyListeners([&](EventListener* l) { l->OnFlushBegin(info); });
-    mutex_.Lock();
-  }
+  const uint64_t start_micros = stats != nullptr ? env_->NowMicros() : 0;
   // Only the FRONT (oldest) entry is flushed, so L0 files keep recency
   // order. Writers may push NEW entries while the mutex is released inside
   // WriteLevel0Table; only this thread pops.
   MemTable* const imm = imm_queue_.front().mem;
   VersionEdit edit;
-  FileMetaData meta;
-  Status s = WriteLevel0Table(imm, &edit, &meta);
+  Status s = WriteLevel0Table(imm, &edit);
   if (s.ok()) {
     // Advance the MANIFEST's log number only past fully-flushed logs: the
     // oldest WAL still holding unflushed data is the next queued
@@ -938,20 +877,8 @@ Status DBImpl::CompactMemTable() {
     imm_queue_.pop_front();
     RemoveObsoleteFiles();
   }
-  const uint64_t flush_micros = observe ? env_->NowMicros() - start_micros : 0;
   if (stats != nullptr) {
-    stats->RecordHistogram(kHistFlushMicros, flush_micros);
-  }
-  if (!options_.listeners.empty()) {
-    FlushJobInfo info;
-    info.db_name = dbname_;
-    info.file_number = meta.number;
-    info.file_size = meta.file_size;
-    info.micros = flush_micros;
-    info.status = s;
-    mutex_.Unlock();
-    NotifyListeners([&](EventListener* l) { l->OnFlushEnd(info); });
-    mutex_.Lock();
+    stats->RecordHistogram(kHistFlushMicros, env_->NowMicros() - start_micros);
   }
   flush_in_progress_ = false;
   // Wake writers parked on the "imm_ still flushing" rung (and error
@@ -1127,7 +1054,6 @@ Status DBImpl::IngestExternalFiles(const IngestFeed& feed,
   std::string prev_key;
   bool have_prev = false;
   bool more = true;
-  uint64_t fed_keys = 0;
 
   // One chunk = one SSTable. Records are read and sequence-stamped
   // serially in feed order; only the CPU-heavy table builds (compression,
@@ -1172,7 +1098,6 @@ Status DBImpl::IngestExternalFiles(const IngestFeed& feed,
         records.emplace_back(std::move(key), std::move(value));
       }
       if (!s.ok() || records.empty()) break;
-      fed_keys += records.size();
 
       SequenceNumber first;
       uint64_t file_number;
@@ -1317,7 +1242,6 @@ Status DBImpl::IngestExternalFiles(const IngestFeed& feed,
     }
     if (stats_out != nullptr) *stats_out = local;
   }
-  (void)fed_keys;
   return s;
 }
 
@@ -1360,22 +1284,16 @@ struct RunState {
 Status DBImpl::DoCompactionWork(Compaction* c) {
   mutex_.AssertHeld();
   Statistics* stats = options_.statistics;
-  CompactionJobInfo job_info;  // Filled for OnCompactionBegin, reused for End
-  job_info.db_name = dbname_;
-  job_info.level = c->level();
-  job_info.output_level = c->level() + 1;
-  for (int which = 0; which < 2; which++) {
-    job_info.input_files += c->num_input_files(which);
-    for (int i = 0; i < c->num_input_files(which); i++) {
-      job_info.input_bytes[which] += c->input(which, i)->file_size;
-    }
-  }
   if (stats != nullptr) {
+    uint64_t input_bytes = 0;
+    for (int which = 0; which < 2; which++) {
+      for (int i = 0; i < c->num_input_files(which); i++) {
+        input_bytes += c->input(which, i)->file_size;
+      }
+    }
     stats->Record(kCompactionCount);
-    stats->Record(kCompactionBytesRead,
-                  job_info.input_bytes[0] + job_info.input_bytes[1]);
+    stats->Record(kCompactionBytesRead, input_bytes);
   }
-  const bool observe = stats != nullptr || !options_.listeners.empty();
 
   // Oldest sequence any live snapshot can still read. Record versions at or
   // below this bound behave classically (newest wins, the rest drop);
@@ -1391,11 +1309,7 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
   // to every Version until LogAndApply (protected from garbage collection
   // via pending_outputs_). Only file-number allocation retakes the mutex.
   mutex_.Unlock();
-  const uint64_t start_micros = observe ? env_->NowMicros() : 0;
-  if (!options_.listeners.empty()) {
-    NotifyListeners(
-        [&](EventListener* l) { l->OnCompactionBegin(job_info); });
-  }
+  const uint64_t start_micros = stats != nullptr ? env_->NowMicros() : 0;
 
   std::unique_ptr<Iterator> input(versions_->MakeInputIterator(c));
   input->SeekToFirst();
@@ -1436,8 +1350,6 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
       if (stats != nullptr) {
         stats->Record(kCompactionBytesWritten, meta.file_size);
       }
-      job_info.bytes_written += meta.file_size;
-      job_info.output_files++;
     }
     builder.reset();
     if (s.ok()) s = outfile->Sync();
@@ -1592,18 +1504,9 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
   for (const FileMetaData& out : outputs) {
     pending_outputs_.erase(out.number);
   }
-  const uint64_t micros = observe ? env_->NowMicros() - start_micros : 0;
   if (stats != nullptr) {
-    stats->RecordHistogram(kHistCompactionMicros, micros);
-  }
-  if (!options_.listeners.empty()) {
-    // Fired after LogAndApply so listeners observe the final outcome; the
-    // compaction token (held by every caller) still serializes the job.
-    job_info.micros = micros;
-    job_info.status = status;
-    mutex_.Unlock();
-    NotifyListeners([&](EventListener* l) { l->OnCompactionEnd(job_info); });
-    mutex_.Lock();
+    stats->RecordHistogram(kHistCompactionMicros,
+                           env_->NowMicros() - start_micros);
   }
   return status;
 }

@@ -310,15 +310,8 @@ class DBImpl : public DB {
   Status RecoverLogFile(uint64_t log_number, VersionEdit* edit,
                         SequenceNumber* max_sequence)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  /// `meta_out`, when non-null, receives the produced L0 table's metadata
-  /// (listeners report its number/size in OnFlushEnd).
-  Status WriteLevel0Table(MemTable* mem, VersionEdit* edit,
-                          FileMetaData* meta_out = nullptr)
+  Status WriteLevel0Table(MemTable* mem, VersionEdit* edit)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-
-  /// Invoke `fn` on every Options::listeners entry, swallowing listener
-  /// exceptions. Must be called with mutex_ NOT held.
-  void NotifyListeners(const std::function<void(EventListener*)>& fn);
 
   /// Blocks until mem_ has room (rotating / flushing / stalling as the mode
   /// dictates). `force` rotates even a non-full memtable. With `no_stall`

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,7 +17,6 @@ class AttributeExtractor;
 class Cache;
 class Comparator;
 class Env;
-class EventListener;
 class FilterPolicy;
 class Snapshot;
 class Statistics;
@@ -38,13 +36,6 @@ struct Options {
 
   /// Optional engine-wide counters; benches attribute I/O through this.
   Statistics* statistics = nullptr;
-
-  /// Observers of background / lifecycle events (flush, compaction, WAL
-  /// sync, background errors, block quarantine, index rebuild). Callbacks
-  /// run on the thread doing the work with the DB mutex released; listener
-  /// exceptions are swallowed. See db/event_listener.h for the contract.
-  /// Empty (default) costs nothing on any path.
-  std::vector<std::shared_ptr<EventListener>> listeners;
 
   /// Amount of data to build up in the memtable before flushing to an L0
   /// SSTable. The default is deliberately small (the paper's experiments are
@@ -144,9 +135,10 @@ struct Options {
   int read_parallelism = 0;
 
   /// Force every write through the WriteOptions{sync=true} path, fsyncing
-  /// the WAL before the write is acknowledged. This is how SecondaryDB's
-  /// crash-consistency mode makes its internal index-table writes durable
-  /// without threading a WriteOptions through every index hook; it is also
+  /// the WAL before the write is acknowledged. Set on SecondaryDBOptions::
+  /// base, it is SecondaryDB's crash-consistency mode: it makes the internal
+  /// index-table writes durable without threading a WriteOptions through
+  /// every index hook, and orders each Put index-first. It is also
   /// what the fault-injection crash tests flip on so that "acknowledged"
   /// equals "survives power loss". Default off: the paper benches measure
   /// the buffered write path.

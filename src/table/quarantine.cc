@@ -5,18 +5,8 @@
 namespace leveldbpp {
 
 bool BlockQuarantine::Add(uint64_t file_number, uint64_t block_offset) {
-  bool inserted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inserted = blocks_.emplace(file_number, block_offset).second;
-  }
-  // Fire outside mu_ so a listener may call Contains/Count/Summary.
-  if (inserted && notify_) notify_(file_number, block_offset);
-  return inserted;
-}
-
-void BlockQuarantine::SetNotifyFn(std::function<void(uint64_t, uint64_t)> fn) {
-  notify_ = std::move(fn);
+  std::lock_guard<std::mutex> lock(mu_);
+  return blocks_.emplace(file_number, block_offset).second;
 }
 
 bool BlockQuarantine::Contains(uint64_t file_number,

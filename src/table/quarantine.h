@@ -11,7 +11,6 @@
 #define LEVELDBPP_TABLE_QUARANTINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <set>
 #include <string>
@@ -40,17 +39,9 @@ class BlockQuarantine {
   /// "file 7: 2 block(s); file 12: 1 block(s)" — for logs and stats dumps.
   std::string Summary() const;
 
-  /// Callback invoked — outside the registry lock — each time a NEW block
-  /// enters quarantine, with (file_number, block_offset). DBImpl installs
-  /// one at open (before any read can fail) to fan the event out to
-  /// Options::listeners; not synchronized against concurrent Add calls, so
-  /// set it once, up front.
-  void SetNotifyFn(std::function<void(uint64_t, uint64_t)> fn);
-
  private:
   mutable std::mutex mu_;
   std::set<std::pair<uint64_t, uint64_t>> blocks_;  // Guarded by mu_
-  std::function<void(uint64_t, uint64_t)> notify_;  // set before first read
 };
 
 }  // namespace leveldbpp

@@ -3,7 +3,7 @@
 //
 // The cycle under test, for one crash point `crash_at`:
 //
-//   1. Open a SecondaryDB in crash-consistency mode (sync_writes) on a
+//   1. Open a SecondaryDB in crash-consistency mode (base.sync_writes) on a
 //      FaultInjectionEnv over a fresh MemEnv.
 //   2. Arm FailAfter(crash_at): the env fails every write-class operation
 //      after the first `crash_at`, simulating the device vanishing at an
@@ -98,7 +98,7 @@ inline SecondaryDBOptions MakeCrashOptions(Env* env, IndexType type) {
   // boundaries, so crash points land inside them too.
   options.base.write_buffer_size = 64 << 10;
   options.base.max_file_size = 32 << 10;
-  options.sync_writes = true;
+  options.base.sync_writes = true;
   options.index_type = type;
   options.indexed_attributes = {"UserID"};
   return options;

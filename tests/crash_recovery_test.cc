@@ -111,6 +111,53 @@ TEST_P(CrashRecoveryTest, EveryBoundaryOfOneOp) {
   }
 }
 
+// `base.sync_writes` alone selects the crash ordering: with no other knob
+// set, an env failure anywhere inside one Put (index WAL or primary WAL)
+// leaves either nothing or a stale posting, never a primary record that
+// LOOKUP cannot find.
+TEST(CrashOrderingTest, BaseSyncWritesAloneWritesTheIndexFirst) {
+  const Op first = PutOp("key0", "u0", 1000);
+  const Op second = PutOp("key1", "u1", 1001);
+  auto open = [](Env* env, std::unique_ptr<SecondaryDB>* db) {
+    SecondaryDBOptions options;
+    options.base.env = env;
+    options.base.sync_writes = true;
+    options.index_type = IndexType::kLazy;
+    options.indexed_attributes = {"UserID"};
+    ASSERT_TRUE(SecondaryDB::Open(options, "/order", db).ok());
+  };
+
+  // Probe the env operations of the second Put.
+  uint64_t put_ops = 0;
+  {
+    std::unique_ptr<Env> base(NewMemEnv());
+    FaultInjectionEnv env(base.get());
+    std::unique_ptr<SecondaryDB> db;
+    open(&env, &db);
+    ASSERT_TRUE(db->Put(first.key, first.doc).ok());
+    env.ResetOpCount();
+    ASSERT_TRUE(db->Put(second.key, second.doc).ok());
+    put_ops = env.op_count();
+  }
+  ASSERT_GE(put_ops, 2u) << "expected an index and a primary WAL write";
+
+  for (uint64_t fail_at = 0; fail_at < put_ops; fail_at++) {
+    const std::string trace = "fail_at=" + std::to_string(fail_at);
+    std::unique_ptr<Env> base(NewMemEnv());
+    FaultInjectionEnv env(base.get());
+    std::unique_ptr<SecondaryDB> db;
+    open(&env, &db);
+    ASSERT_TRUE(db->Put(first.key, first.doc).ok()) << trace;
+    env.ResetOpCount();
+    env.FailAfter(fail_at);
+    EXPECT_FALSE(db->Put(second.key, second.doc).ok()) << trace;
+    env.ClearFaults();
+    crash::VerifyIndexesMatchPrimary(db.get(), {first.key, second.key},
+                                     {first.user, second.user}, trace);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllVariants, CrashRecoveryTest,
                          testing::Values(IndexType::kNoIndex,
                                          IndexType::kEmbedded,

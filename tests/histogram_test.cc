@@ -2,12 +2,19 @@
 // sane summaries (the empty-percentile bug returned the 1e200 bucket
 // sentinel before the guard), and Merge must behave as if the merged
 // samples had been Added directly — including merges involving empty
-// histograms in either position.
+// histograms in either position. The engine tests check that each WAL
+// sync, flush and compaction adds exactly one sample to its histogram.
 
 #include "util/histogram.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
+#include <string>
+
+#include "db/db_impl.h"
+#include "env/env.h"
 #include "env/statistics.h"
 #include "util/random.h"
 
@@ -149,6 +156,71 @@ TEST(HistogramTest, EveryHistogramTypeHasAName) {
     ASSERT_NE(nullptr, name);
     EXPECT_GT(std::string(name).size(), 0u) << i;
   }
+}
+
+class EngineHistogramTest : public testing::Test {
+ protected:
+  EngineHistogramTest() : env_(NewMemEnv()) {
+    Options options;
+    options.env = env_.get();
+    options.write_buffer_size = 16 << 10;
+    options.statistics = &stats_;
+    DBImpl* raw = nullptr;
+    EXPECT_TRUE(DBImpl::Open(options, "/histdb", &raw).ok());
+    db_.reset(raw);
+  }
+
+  static std::string Key(int i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "key%06d", i);
+    return buf;
+  }
+
+  // 400 records of ~130 bytes overflow the 16 KB memtable several times.
+  void PutAll(char tag) {
+    for (int i = 0; i < 400; i++) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), Key(i),
+                           std::string(1, tag) + std::string(128, tag))
+                      .ok());
+    }
+  }
+
+  std::unique_ptr<Env> env_;
+  Statistics stats_;
+  std::unique_ptr<DBImpl> db_;
+};
+
+TEST_F(EngineHistogramTest, WalSyncMicrosCountsSyncedWritesOnly) {
+  WriteOptions synced;
+  synced.sync = true;
+  ASSERT_TRUE(db_->Put(synced, Key(0), "a").ok());
+  EXPECT_EQ(1u, stats_.GetHistogram(kHistWalSyncMicros).Count());
+  ASSERT_TRUE(db_->Put(synced, Key(1), "a").ok());
+  EXPECT_EQ(2u, stats_.GetHistogram(kHistWalSyncMicros).Count());
+  ASSERT_TRUE(db_->Put(WriteOptions(), Key(2), "a").ok());
+  EXPECT_EQ(2u, stats_.GetHistogram(kHistWalSyncMicros).Count());
+}
+
+TEST_F(EngineHistogramTest, FlushMicrosCountEqualsFlushCount) {
+  PutAll('a');
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_GT(stats_.Get(kFlushCount), 0u);
+  EXPECT_EQ(stats_.Get(kFlushCount),
+            stats_.GetHistogram(kHistFlushMicros).Count());
+}
+
+TEST_F(EngineHistogramTest, CompactionMicrosCountEqualsCompactionCount) {
+  // Two overlapping generations force a real merging compaction (a single
+  // sorted run would just move trivially).
+  PutAll('a');
+  ASSERT_TRUE(db_->CompactAll().ok());
+  PutAll('b');
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_GT(stats_.Get(kCompactionCount), 0u);
+  EXPECT_EQ(stats_.Get(kCompactionCount),
+            stats_.GetHistogram(kHistCompactionMicros).Count());
+  EXPECT_GT(stats_.Get(kCompactionBytesRead), 0u);
+  EXPECT_GT(stats_.Get(kCompactionBytesWritten), 0u);
 }
 
 }  // namespace

@@ -233,6 +233,24 @@ TEST_F(SecondaryDBTest, TotalTickerAggregatesAllTables) {
   EXPECT_GT(total, primary_only);
 }
 
+TEST_F(SecondaryDBTest, RebuildIndexCountsOnePostingPerIndexedValue) {
+  auto db = Open(IndexType::kLazy);
+  const int kDocs = 25;
+  for (int i = 0; i < kDocs; i++) {
+    ASSERT_TRUE(db->Put("t" + std::to_string(i),
+                        Doc("u" + std::to_string(i % 5), 1000 + i))
+                    .ok());
+  }
+  // A superseded version gets no posting; a record without CreationTime
+  // gets a UserID posting only.
+  ASSERT_TRUE(db->Put("t0", Doc("u9", 2000)).ok());
+  ASSERT_TRUE(db->Put("lone", "{\"UserID\":\"u1\"}").ok());
+  ASSERT_TRUE(db->RebuildIndex().ok());
+  EXPECT_EQ(static_cast<uint64_t>(2 * kDocs + 1),
+            db->primary_statistics()->Get(kIndexRebuildEntries));
+  ASSERT_TRUE(db->VerifyIndexConsistency().ok());
+}
+
 TEST_F(SecondaryDBTest, TweetGeneratorEndToEnd) {
   // The full pipeline used by the benches: generator -> store -> query.
   auto db = Open(IndexType::kLazy);

@@ -396,7 +396,7 @@ TEST(ShardedDBTest, StatsJsonAggregatesPerShard) {
 }
 
 TEST(ShardedDBTest, CrashAndReopenRecoversAcknowledgedOps) {
-  // Sharded spin on the crash harness: sync_writes ShardedDB on a
+  // Sharded spin on the crash harness: base.sync_writes ShardedDB on a
   // FaultInjectionEnv, crash at a sweep of syscall counts, reopen, and
   // check every ACKNOWLEDGED op is visible (the one in-flight op may land
   // either way) and LOOKUP agrees with the recovered primary state.

@@ -21,11 +21,14 @@
 //                    down; a degraded answer is flagged on stderr.
 //
 // LOOKUP/RANGELOOKUP print one line per result: <seq> <key> <value>.
+// Every number (K, --port, --deadline-ms, --retries) is a plain decimal;
+// anything else — a sign, a suffix, an overflow — is a usage error.
 // Exit status: 0 ok, 1 not found / error, 2 usage.
 
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,6 +49,13 @@ void Usage() {
                "  stats | health\n");
 }
 
+// Strict decimal parse of `text` into [0, max]: digits only, nothing after.
+bool ParseNumber(const std::string& text, uint64_t max, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end && *out <= max;
+}
+
 void PrintResults(const std::vector<QueryResult>& results) {
   for (const QueryResult& r : results) {
     std::printf("%llu %s %s\n", static_cast<unsigned long long>(r.seq),
@@ -57,24 +67,33 @@ void PrintResults(const std::vector<QueryResult>& results) {
 
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
-  int port = 0;
+  uint64_t port = 0;
   uint64_t deadline_ms = 0;
-  int retries = -1;  // -1: keep the client's default policy
+  uint64_t retries = UINT64_MAX;  // UINT64_MAX: keep the client's default
   bool allow_degraded = false;
+  bool numbers_ok = true;
   std::vector<std::string> args;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
     if (arg.rfind("--host=", 0) == 0) host = arg.substr(7);
-    else if (arg.rfind("--port=", 0) == 0) port = std::atoi(arg.c_str() + 7);
+    else if (arg.rfind("--port=", 0) == 0)
+      numbers_ok &= ParseNumber(arg.substr(7), 65535, &port);
     else if (arg.rfind("--deadline-ms=", 0) == 0)
-      deadline_ms = std::strtoull(arg.c_str() + 14, nullptr, 10);
+      numbers_ok &=
+          ParseNumber(arg.substr(14), UINT64_MAX / 1000, &deadline_ms);
     else if (arg.rfind("--retries=", 0) == 0)
-      retries = std::atoi(arg.c_str() + 10);
+      numbers_ok &= ParseNumber(arg.substr(10), INT_MAX, &retries);
     else if (arg == "--allow-degraded") allow_degraded = true;
     else if (arg == "--help" || arg == "-h") { Usage(); return 0; }
     else args.push_back(arg);
   }
-  if (args.empty() || port == 0) {
+  // The optional trailing K of lookup/range; 0 means no limit.
+  uint64_t k = 0;
+  if (!args.empty() && ((args[0] == "lookup" && args.size() == 4) ||
+                        (args[0] == "range" && args.size() == 5))) {
+    numbers_ok &= ParseNumber(args.back(), UINT32_MAX, &k);
+  }
+  if (args.empty() || port == 0 || !numbers_ok) {
     Usage();
     return 2;
   }
@@ -86,9 +105,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (deadline_ms > 0) client->set_default_deadline_micros(deadline_ms * 1000);
-  if (retries >= 0) {
+  if (retries != UINT64_MAX) {
     RetryPolicy policy;
-    policy.max_retries = retries;
+    policy.max_retries = static_cast<int>(retries);
     client->set_retry_policy(policy);
   }
   client->set_allow_degraded(allow_degraded);
@@ -106,14 +125,13 @@ int main(int argc, char** argv) {
   } else if (cmd == "del" && args.size() == 2) {
     s = client->Delete(args[1]);
   } else if (cmd == "lookup" && (args.size() == 3 || args.size() == 4)) {
-    const uint32_t k = args.size() == 4 ? std::atoi(args[3].c_str()) : 0;
     std::vector<QueryResult> results;
-    s = client->Lookup(args[1], args[2], k, &results);
+    s = client->Lookup(args[1], args[2], static_cast<uint32_t>(k), &results);
     if (s.ok()) PrintResults(results);
   } else if (cmd == "range" && (args.size() == 4 || args.size() == 5)) {
-    const uint32_t k = args.size() == 5 ? std::atoi(args[4].c_str()) : 0;
     std::vector<QueryResult> results;
-    s = client->RangeLookup(args[1], args[2], args[3], k, &results);
+    s = client->RangeLookup(args[1], args[2], args[3], static_cast<uint32_t>(k),
+                            &results);
     if (s.ok()) PrintResults(results);
   } else if (cmd == "stats" && args.size() == 1) {
     std::string json;

@@ -1,33 +1,23 @@
-// leveldbpp_stats: offline inspection of a store's metrics and traces.
+// leveldbpp_stats: offline inspection of a store's metrics.
 //
-// Two modes:
+// Opens an existing store (read path only; the store is never created or
+// modified beyond normal open-time recovery) with a fresh Statistics
+// object attached, then prints the level summary and the engine's stats
+// property. Tickers and histograms reflect the activity performed by the
+// open itself (recovery reads, etc.); long-running counters live in the
+// owning process, not on disk — a running server serves them through its
+// STATS op.
 //
-//   * Store mode — open an existing store (read path only; the store is
-//     never created or modified beyond normal open-time recovery) with a
-//     fresh Statistics object attached, then print the level summary and
-//     the engine's stats property. Tickers and histograms reflect the
-//     activity performed by the open itself (recovery reads, etc.);
-//     long-running counters live in the owning process, not on disk.
+//     leveldbpp_stats --db=PATH [--json]
+//     leveldbpp_stats --db=PATH --type=lazy --attrs=UserID [--json]
 //
-//       leveldbpp_stats --db=PATH [--json]
-//       leveldbpp_stats --db=PATH --type=lazy --attrs=UserID [--json]
-//
-//     With --type/--attrs the path is opened as a SecondaryDB store
-//     (directory containing `primary/`); otherwise as a bare engine
-//     directory. --json prints the machine-readable
-//     "leveldbpp.stats.json" property instead of the text form.
-//
-//   * Trace mode — parse a JSONL trace produced by TraceWriter and print a
-//     per-event summary (counts, total micros, total bytes). --json emits
-//     the summary as one JSON object. Exit status 1 if any line fails to
-//     parse.
-//
-//       leveldbpp_stats --trace=FILE [--json]
+// With --type/--attrs the path is opened as a SecondaryDB store (directory
+// containing `primary/`); otherwise as a bare engine directory. --json
+// prints the machine-readable "leveldbpp.stats.json" property instead of
+// the text form.
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +26,6 @@
 #include "db/db.h"
 #include "env/env.h"
 #include "env/statistics.h"
-#include "json/json.h"
 
 namespace {
 
@@ -48,9 +37,7 @@ void Usage() {
       "usage: leveldbpp_stats --db=PATH [--type=noindex|embedded|lazy|eager|"
       "composite]\n"
       "                       [--attrs=A,B,...] [--json]\n"
-      "       leveldbpp_stats --trace=FILE [--json]\n"
       "  --db     open an existing store and print levels + stats\n"
-      "  --trace  summarize a JSONL trace written by TraceWriter\n"
       "  --json   machine-readable output\n");
 }
 
@@ -134,80 +121,16 @@ int StatsSecondary(const std::string& path, IndexType type,
   return 0;
 }
 
-struct EventSummary {
-  uint64_t count = 0;
-  uint64_t micros = 0;
-  uint64_t bytes = 0;
-};
-
-int SummarizeTrace(const std::string& path, bool as_json) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open trace: %s\n", path.c_str());
-    return 1;
-  }
-  std::map<std::string, EventSummary> events;
-  uint64_t lines = 0, bad = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    lines++;
-    json::Value v;
-    if (!json::Parse(Slice(line), &v) || !v.is_object() ||
-        !v["event"].is_string()) {
-      bad++;
-      continue;
-    }
-    EventSummary& e = events[v["event"].as_string()];
-    e.count++;
-    if (v["micros"].is_number()) e.micros += v["micros"].as_int();
-    // Byte-ish payload fields, per event type.
-    for (const char* field : {"bytes", "bytes_written", "file_size"}) {
-      if (v[field].is_number()) e.bytes += v[field].as_int();
-    }
-  }
-  if (as_json) {
-    json::Object root;
-    root["lines"] = json::Value(static_cast<int64_t>(lines));
-    root["malformed"] = json::Value(static_cast<int64_t>(bad));
-    json::Object by_event;
-    for (const auto& kv : events) {
-      json::Object e;
-      e["count"] = json::Value(static_cast<int64_t>(kv.second.count));
-      e["micros"] = json::Value(static_cast<int64_t>(kv.second.micros));
-      e["bytes"] = json::Value(static_cast<int64_t>(kv.second.bytes));
-      by_event[kv.first] = json::Value(std::move(e));
-    }
-    root["events"] = json::Value(std::move(by_event));
-    std::printf("%s\n", json::Value(std::move(root)).ToString().c_str());
-  } else {
-    std::printf("%-20s %10s %14s %14s\n", "event", "count", "micros",
-                "bytes");
-    for (const auto& kv : events) {
-      std::printf("%-20s %10llu %14llu %14llu\n", kv.first.c_str(),
-                  static_cast<unsigned long long>(kv.second.count),
-                  static_cast<unsigned long long>(kv.second.micros),
-                  static_cast<unsigned long long>(kv.second.bytes));
-    }
-    std::printf("%llu lines, %llu malformed\n",
-                static_cast<unsigned long long>(lines),
-                static_cast<unsigned long long>(bad));
-  }
-  return bad == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string db_path, trace_path, type_name;
+  std::string db_path, type_name;
   std::vector<std::string> attrs;
   bool as_json = false;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
     if (arg.rfind("--db=", 0) == 0) {
       db_path = arg.substr(strlen("--db="));
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_path = arg.substr(strlen("--trace="));
     } else if (arg.rfind("--type=", 0) == 0) {
       type_name = arg.substr(strlen("--type="));
     } else if (arg.rfind("--attrs=", 0) == 0) {
@@ -222,9 +145,6 @@ int main(int argc, char** argv) {
       Usage();
       return 2;
     }
-  }
-  if (!trace_path.empty()) {
-    return SummarizeTrace(trace_path, as_json);
   }
   if (db_path.empty()) {
     Usage();
