@@ -23,8 +23,11 @@ cd "$(dirname "$0")/.."
 # scan holds records as slices into blocks its pool tasks decoded until the
 # calling thread admits them. And the ParallelRun contract itself
 # (ThreadPool*): its tasks write plain slots that only the region barrier
-# publishes to the caller.
-SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList|NewestFirst|ShardedDBTest.ParallelReadsMatchUnsharded|ThreadPool"
+# publishes to the caller. And the point read's block memo (BlockMemo*,
+# *PointSeek*, *ReusedBuffer*): a sweep's lookups seek into a block that a
+# reused buffer holds, and a query holds one read view across the pool's
+# runs.
+SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList|NewestFirst|ShardedDBTest.ParallelReadsMatchUnsharded|ThreadPool|BlockMemo|PointSeek|ReusedBuffer"
 if [[ "${1:-}" == "--sanitize-all" || "${1:-}" == "--tsan-all" ]]; then
   SAN_FILTER=""
 fi
@@ -156,6 +159,18 @@ done
 kill "${SMOKE_PID}"
 wait "${SMOKE_PID}" 2>/dev/null || true
 trap - EXIT
+# A malformed server flag is a usage error (exit 2) before anything opens;
+# the timeout turns a server that starts anyway into a failure.
+for SMOKE_FLAG in "--max-inflight=xyz" "--shards=abc" "--port=-1"; do
+  SMOKE_RC=0
+  timeout 10 build/tools/leveldbpp_server --db="${SMOKE_DB}.flags" \
+    --shards=2 --port=0 --type=lazy --attrs=UserID "${SMOKE_FLAG}" \
+    > /dev/null 2>&1 || SMOKE_RC=$?
+  if [[ "${SMOKE_RC}" != 2 ]]; then
+    echo "leveldbpp_server ${SMOKE_FLAG}: exit ${SMOKE_RC}, want 2"
+    exit 1
+  fi
+done
 rm -rf "$(dirname "${SMOKE_DB}")"
 
 # Docs drift: stats_doc_test cross-checks docs/METRICS.md and

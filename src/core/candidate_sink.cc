@@ -25,6 +25,8 @@ CandidateSink::CandidateSink(DBImpl* primary, size_t k,
                              const std::string& attribute, const Slice& lo,
                              const Slice& hi)
     : primary_(primary),
+      view_(primary, ReadOptions()),
+      pins_(primary->table_cache()),
       heap_(k),
       attribute_(attribute),
       lo_(lo),
@@ -71,20 +73,16 @@ Status CandidateSink::Flush() {
   if (n == 0) return Status::OK();
   ScopedPerfTimer timer(&PerfContext::validate_micros);
   PerfCounterAdd(&PerfContext::candidates_validated, n);
-  std::vector<Slice> keys(pending_.begin(), pending_.end());
-  std::vector<std::string> values;
-  std::vector<DBImpl::RecordLocation> locs;
-  std::vector<char> found;
-  Status s = Fetch(primary_, keys, &values, &locs, &found);
+  Status s = Fetch();
   if (s.ok()) {
     for (size_t i = 0; i < n; i++) {
-      if (!found[i] || !Matches(Slice(values[i]))) continue;
+      if (!statuses_[i].ok() || !Matches(Slice(values_[i]))) continue;
       PerfCounterAdd(&PerfContext::candidates_valid, 1);
-      if (locs[i].seq != pending_seqs_[i]) stale_admitted_ = true;
+      if (locs_[i].seq != pending_seqs_[i]) stale_admitted_ = true;
       QueryResult r;
       r.primary_key = std::move(pending_[i]);
-      r.seq = locs[i].seq;
-      r.value = std::move(values[i]);
+      r.seq = locs_[i].seq;
+      r.value = std::move(values_[i]);
       heap_.Add(std::move(r));
     }
   }
@@ -100,38 +98,26 @@ Status CandidateSink::Finish(std::vector<QueryResult>* results) {
   return Status::OK();
 }
 
-Status CandidateSink::Fetch(DBImpl* primary, const std::vector<Slice>& keys,
-                            std::vector<std::string>* values,
-                            std::vector<DBImpl::RecordLocation>* locs,
-                            std::vector<char>* found) {
-  const size_t n = keys.size();
-  found->assign(n, 0);
-  if (primary->options().read_parallelism <= 1) {
-    values->assign(n, std::string());
-    locs->assign(n, DBImpl::RecordLocation());
+Status CandidateSink::Fetch() {
+  const size_t n = pending_.size();
+  if (chunk_ == 1) {  // read_parallelism <= 1
+    values_.resize(n);
+    locs_.resize(n);
+    statuses_.resize(n);
     for (size_t i = 0; i < n; i++) {
-      Status s = primary->GetWithMeta(ReadOptions(), keys[i], &(*values)[i],
-                                      &(*locs)[i]);
-      if (s.ok()) {
-        (*found)[i] = 1;
-      } else if (!s.IsNotFound()) {
-        return s;
+      statuses_[i] = primary_->GetWithMeta(view_, &pins_, ReadOptions(),
+                                           Slice(pending_[i]), &values_[i],
+                                           &locs_[i]);
+      if (!statuses_[i].ok() && !statuses_[i].IsNotFound()) {
+        return statuses_[i];
       }
     }
     return Status::OK();
   }
-  std::vector<Status> statuses;
-  Status s =
-      primary->MultiGetWithMeta(ReadOptions(), keys, values, locs, &statuses);
-  if (!s.ok()) return s;
-  for (size_t i = 0; i < n; i++) {
-    if (statuses[i].ok()) {
-      (*found)[i] = 1;
-    } else if (!statuses[i].IsNotFound()) {
-      return statuses[i];
-    }
-  }
-  return Status::OK();
+  keys_.assign(pending_.begin(), pending_.end());
+  // The batch's status is its first per-key error, NotFound aside.
+  return primary_->MultiGetWithMeta(view_, &pins_, ReadOptions(), keys_,
+                                    &values_, &locs_, &statuses_);
 }
 
 }  // namespace leveldbpp

@@ -7,11 +7,14 @@
 // (primary key, stored seq). The sink owns everything after that:
 //
 //   * the per-primary-key seen-set (a key is validated at most once);
-//   * resolution against the primary table: with read_parallelism <= 1 each
-//     candidate is one GetWithMeta as soon as it is offered (the paper's
-//     sequential walk, I/O-identical to Algorithm 1); above that candidates
+//   * resolution against the primary table, through one ReadView and one
+//     TablePins the sink holds for the whole query: with read_parallelism
+//     <= 1 each candidate is one GetWithMeta as soon as it is offered (the
+//     paper's sequential walk, Algorithm 1); above that candidates
 //     accumulate into chunks of max(K, p) keys (K counted as 64 when
-//     unlimited), each one MultiGetWithMeta;
+//     unlimited), each one MultiGetWithMeta. The pins' BlockMemo reads a
+//     primary block once when consecutive candidates land in it, so the
+//     sink reads at most one block per candidate, not exactly one;
 //   * the record predicate: attribute in [lo, hi];
 //   * Algorithm 1's top-K heap, and the stale_admitted flag.
 //
@@ -39,7 +42,8 @@ namespace leveldbpp {
 class CandidateSink {
  public:
   /// Validates a candidate by its current record's `attribute` lying in
-  /// [lo, hi]. `attribute`, `lo` and `hi` must outlive the sink.
+  /// [lo, hi], as of the primary's state when the sink is built (its
+  /// ReadView). `attribute`, `lo` and `hi` must outlive the sink.
   CandidateSink(DBImpl* primary, size_t k, const std::string& attribute,
                 const Slice& lo, const Slice& hi);
 
@@ -82,18 +86,17 @@ class CandidateSink {
   Status Finish(std::vector<QueryResult>* results);
 
  private:
-  /// Fetch the current records of `keys`: one GetWithMeta per key when the
-  /// primary's read_parallelism <= 1, one MultiGetWithMeta otherwise.
-  /// (*found)[i] tells whether keys[i] exists (NotFound is not an error);
-  /// any other per-key status is returned.
-  static Status Fetch(DBImpl* primary, const std::vector<Slice>& keys,
-                      std::vector<std::string>* values,
-                      std::vector<DBImpl::RecordLocation>* locs,
-                      std::vector<char>* found);
+  /// Fetch the current records of the pending keys into values_, locs_
+  /// and statuses_: one GetWithMeta per key when the primary's
+  /// read_parallelism <= 1, one MultiGetWithMeta otherwise. NotFound is
+  /// not an error; any other per-key status is returned.
+  Status Fetch();
 
   bool Matches(const Slice& record) const;
 
   DBImpl* const primary_;
+  const DBImpl::ReadView view_;
+  TablePins pins_;
   TopKCollector heap_;
   const std::string& attribute_;
   const Slice lo_, hi_;
@@ -101,6 +104,11 @@ class CandidateSink {
   std::set<std::string> seen_;
   std::vector<std::string> pending_;
   std::vector<SequenceNumber> pending_seqs_;  // Stored seq per pending key
+  // Fetch's per-key outputs, reused from chunk to chunk.
+  std::vector<Slice> keys_;
+  std::vector<std::string> values_;
+  std::vector<DBImpl::RecordLocation> locs_;
+  std::vector<Status> statuses_;
   bool stale_admitted_ = false;
 };
 

@@ -31,8 +31,9 @@ Status SupersededWithinTable(Table* table, size_t block,
     return Status::OK();
   }
   KeyProbe probe(BytewiseComparator(), ikey.user_key);
-  probe.io = table->InternalGet(read_options, lk.internal_key(), &probe,
-                                &KeyProbe::Save);
+  BlockMemo memo;
+  probe.io = table->InternalGet(read_options, lk.internal_key(), &memo,
+                                &probe, &KeyProbe::Save);
   Status s;
   if (!probe.Settles(paranoid, &s)) return Status::OK();
   if (!probe.hit()) return s;

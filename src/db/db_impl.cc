@@ -1628,11 +1628,17 @@ bool DBImpl::ReadView::GetFromMemTables(const Slice& key, std::string* value,
 Status DBImpl::GetWithMeta(const ReadOptions& options, const Slice& key,
                            std::string* value, RecordLocation* loc) {
   ReadView view(this, options);
+  TablePins pins(table_cache_.get());
+  return GetWithMeta(view, &pins, options, key, value, loc);
+}
+
+Status DBImpl::GetWithMeta(const ReadView& view, TablePins* pins,
+                           const ReadOptions& options, const Slice& key,
+                           std::string* value, RecordLocation* loc) {
   Status s;
   if (view.GetFromMemTables(key, value, loc, &s)) return s;
   LookupKey lkey(key, view.snapshot);
-  TablePins pins(table_cache_.get());
-  return view.current->Get(options, lkey, &pins, value, &loc->seq,
+  return view.current->Get(options, lkey, pins, value, &loc->seq,
                            &loc->level);
 }
 
@@ -1645,6 +1651,17 @@ Status DBImpl::MultiGet(const ReadOptions& options,
 }
 
 Status DBImpl::MultiGetWithMeta(const ReadOptions& options,
+                                const std::vector<Slice>& keys,
+                                std::vector<std::string>* values,
+                                std::vector<RecordLocation>* locs,
+                                std::vector<Status>* statuses) {
+  ReadView view(this, options);
+  TablePins pins(table_cache_.get());
+  return MultiGetWithMeta(view, &pins, options, keys, values, locs, statuses);
+}
+
+Status DBImpl::MultiGetWithMeta(const ReadView& view, TablePins* pins,
+                                const ReadOptions& options,
                                 const std::vector<Slice>& keys,
                                 std::vector<std::string>* values,
                                 std::vector<RecordLocation>* locs,
@@ -1662,7 +1679,6 @@ Status DBImpl::MultiGetWithMeta(const ReadOptions& options,
     stats->Record(kMultiGetKeys, n);
   }
 
-  ReadView view(this, options);
   const Comparator* ucmp = internal_comparator_.user_comparator();
 
   // Keys the memtables answer never touch disk (pure in-memory work, so
@@ -1683,12 +1699,13 @@ Status DBImpl::MultiGetWithMeta(const ReadOptions& options,
     return a < b;  // Duplicate keys keep caller order
   });
 
-  // Every key is resolved by Get's own walk (Version::Get), so a batch
-  // reads exactly the blocks a loop of Gets would. The sorted keys are cut
-  // into runs of about two per executor (one run when sequential); a run
-  // shares one TablePins, so each table is pinned once per run. The run
-  // length rounds down: a batch that does not divide evenly gets more,
-  // shorter runs, which the pool's work-sharing balances better.
+  // Every key is resolved by Get's own walk (Version::Get). The sorted keys
+  // are cut into runs of about two per executor (one run when sequential);
+  // a run shares one TablePins, so each table is pinned once per run and
+  // sorted keys that share a block read it once (the pins' BlockMemo): a
+  // batch reads no more blocks than a loop of Gets. The run length rounds
+  // down: a batch that does not divide evenly gets more, shorter runs,
+  // which the pool's work-sharing balances better.
   const size_t runs = options_.read_parallelism > 1
                           ? 2 * static_cast<size_t>(options_.read_parallelism)
                           : 1;
@@ -1697,11 +1714,12 @@ Status DBImpl::MultiGetWithMeta(const ReadOptions& options,
   for (size_t begin = 0; begin < pending.size(); begin += per_task) {
     const size_t end = std::min(pending.size(), begin + per_task);
     tasks.push_back([&, begin, end]() {
-      TablePins pins(table_cache_.get());
+      TablePins run_pins(table_cache_.get());
+      TablePins* p = begin == 0 ? pins : &run_pins;
       for (size_t j = begin; j < end; j++) {
         const size_t i = pending[j];
         LookupKey lkey(keys[i], view.snapshot);
-        (*statuses)[i] = view.current->Get(options, lkey, &pins, &(*values)[i],
+        (*statuses)[i] = view.current->Get(options, lkey, p, &(*values)[i],
                                            &(*locs)[i].seq, &(*locs)[i].level);
       }
     });

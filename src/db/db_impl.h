@@ -148,6 +148,15 @@ class DBImpl : public DB {
   Status GetWithMeta(const ReadOptions& options, const Slice& key,
                      std::string* value, RecordLocation* loc);
 
+  /// GetWithMeta against the caller's `view`, probing tables through the
+  /// caller's `pins`: a sweep of keys that holds both takes the DB mutex
+  /// once, pins each table once and, through the pins' BlockMemo, reads a
+  /// block that consecutive keys share once. `options.snapshot` is not
+  /// consulted; the view fixed the sequence.
+  Status GetWithMeta(const ReadView& view, TablePins* pins,
+                     const ReadOptions& options, const Slice& key,
+                     std::string* value, RecordLocation* loc);
+
   /// Batched GetWithMeta (same runs and parallelism as MultiGet). The
   /// stand-alone indexes' batched candidate resolution is built on this.
   Status MultiGetWithMeta(const ReadOptions& options,
@@ -155,6 +164,19 @@ class DBImpl : public DB {
                           std::vector<std::string>* values,
                           std::vector<RecordLocation>* locs,
                           std::vector<Status>* statuses);
+
+  /// MultiGetWithMeta against the caller's `view`. The first run of the
+  /// batch reads through the caller's `pins`; every other run, which may
+  /// execute concurrently with it, through a set of its own.
+  Status MultiGetWithMeta(const ReadView& view, TablePins* pins,
+                          const ReadOptions& options,
+                          const std::vector<Slice>& keys,
+                          std::vector<std::string>* values,
+                          std::vector<RecordLocation>* locs,
+                          std::vector<Status>* statuses);
+
+  /// The cache of open tables, for a caller that builds its own TablePins.
+  TableCache* table_cache() const { return table_cache_.get(); }
 
   /// The paper's GetLite: set *newest to whether the record (key, seq) is
   /// still the newest version of `key`, preferring in-memory metadata (file

@@ -73,8 +73,11 @@ class TableCache {
 /// The tables one read has pinned. Find pins a file's table on first use
 /// and every table stays pinned until the set is destroyed, so a point
 /// read takes one table-cache reference per file it probes, and a MultiGet
-/// run of sorted keys one per file for the whole run. Not thread-safe: one
-/// set per task.
+/// run of sorted keys one per file for the whole run. The set also holds
+/// the read's BlockMemo: the last data block its point lookups decoded,
+/// which stays valid because its table stays pinned. Consecutive keys of
+/// one sweep that land in the same block read it once. Not thread-safe:
+/// one set per task.
 class TablePins {
  public:
   explicit TablePins(TableCache* cache) : cache_(cache) {}
@@ -87,6 +90,9 @@ class TablePins {
   /// destroyed. A failed open is returned and not remembered.
   Status Find(uint64_t file_number, uint64_t file_size, Table** table);
 
+  /// The memo every Table::InternalGet through this set reads with.
+  BlockMemo* memo() { return &memo_; }
+
  private:
   struct Pinned {
     uint64_t file_number;
@@ -96,6 +102,7 @@ class TablePins {
 
   TableCache* const cache_;
   std::vector<Pinned> pinned_;  // Searched from the most recent pin back
+  BlockMemo memo_;
 };
 
 }  // namespace leveldbpp

@@ -306,8 +306,8 @@ Status Version::WalkResidences(
       Table* t = nullptr;
       probe.io = pins->Find(f->number, f->file_size, &t);
       if (probe.io.ok()) {
-        probe.io = t->InternalGet(options, k.internal_key(), &probe,
-                                  &KeyProbe::Save);
+        probe.io = t->InternalGet(options, k.internal_key(), pins->memo(),
+                                  &probe, &KeyProbe::Save);
       }
       Status s;
       if (!probe.Settles(paranoid, &s)) continue;

@@ -100,7 +100,8 @@ class Version {
   /// The one residence walk behind every point read of this version:
   /// visits the files that may hold k's user key, newest residence first
   /// (FilesForKey at level 0, 1, ..., end_level - 1), probes each through
-  /// `pins` into a KeyProbe and settles it with KeyProbe::Settles. A hit (a
+  /// `pins` (its tables, and its BlockMemo for the data block) into a
+  /// KeyProbe and settles it with KeyProbe::Settles. A hit (a
   /// value or a deletion) goes to on_hit(level, probe), which returns false
   /// to stop the walk; a settling error ends the walk and is returned.
   /// `skip(level, file)`, when given, is asked first and returning true

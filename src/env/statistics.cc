@@ -8,6 +8,7 @@ const char* TickerName(Ticker t) {
   switch (t) {
     case kBlockRead: return "block.read.count";
     case kBlockReadBytes: return "block.read.bytes";
+    case kBlockReadReused: return "block.read.reused";
     case kBlockCacheHit: return "block.cache.hit";
     case kBlockCacheMiss: return "block.cache.miss";
     case kPageCacheHit: return "page.cache.hit";

@@ -22,6 +22,7 @@ namespace leveldbpp {
 enum Ticker : uint32_t {
   kBlockRead = 0,        // data/meta block fetched from a file
   kBlockReadBytes,       // bytes of the above
+  kBlockReadReused,      // point lookups served a block a sweep had decoded
   kBlockCacheHit,        // block served from the block cache
   kBlockCacheMiss,
   kPageCacheHit,         // block served from the simulated OS buffer cache

@@ -64,6 +64,40 @@ static inline const char* DecodeEntry(const char* p, const char* limit,
   return p;
 }
 
+static inline uint32_t RestartPoint(const char* data, uint32_t restarts,
+                                    uint32_t index) {
+  return DecodeFixed32(data + restarts + index * sizeof(uint32_t));
+}
+
+// Binary search in the restart array for the last restart point whose key
+// is < target (restart 0 when none is). Returns false if a restart entry
+// does not parse.
+static bool FindRestartBefore(const Comparator* comparator, const char* data,
+                              uint32_t restarts, uint32_t num_restarts,
+                              const Slice& target, uint32_t* index) {
+  uint32_t left = 0;
+  uint32_t right = num_restarts - 1;
+  while (left < right) {
+    uint32_t mid = (left + right + 1) / 2;
+    uint32_t shared, non_shared, value_length;
+    const char* key_ptr =
+        DecodeEntry(data + RestartPoint(data, restarts, mid), data + restarts,
+                    &shared, &non_shared, &value_length);
+    if (key_ptr == nullptr || (shared != 0)) return false;
+    if (comparator->Compare(Slice(key_ptr, non_shared), target) < 0) {
+      // Key at "mid" is smaller than "target". Therefore all blocks before
+      // "mid" are uninteresting.
+      left = mid;
+    } else {
+      // Key at "mid" is >= "target". Therefore all blocks at or after
+      // "mid" are uninteresting.
+      right = mid - 1;
+    }
+  }
+  *index = left;
+  return true;
+}
+
 class Block::Iter : public Iterator {
  public:
   Iter(const Comparator* comparator, const char* data, uint32_t restarts,
@@ -115,31 +149,11 @@ class Block::Iter : public Iterator {
   }
 
   void Seek(const Slice& target) override {
-    // Binary search in restart array to find the last restart point with a
-    // key < target.
     uint32_t left = 0;
-    uint32_t right = num_restarts_ - 1;
-    while (left < right) {
-      uint32_t mid = (left + right + 1) / 2;
-      uint32_t region_offset = GetRestartPoint(mid);
-      uint32_t shared, non_shared, value_length;
-      const char* key_ptr =
-          DecodeEntry(data_ + region_offset, data_ + restarts_, &shared,
-                      &non_shared, &value_length);
-      if (key_ptr == nullptr || (shared != 0)) {
-        CorruptionError();
-        return;
-      }
-      Slice mid_key(key_ptr, non_shared);
-      if (Compare(mid_key, target) < 0) {
-        // Key at "mid" is smaller than "target". Therefore all blocks before
-        // "mid" are uninteresting.
-        left = mid;
-      } else {
-        // Key at "mid" is >= "target". Therefore all blocks at or after
-        // "mid" are uninteresting.
-        right = mid - 1;
-      }
+    if (!FindRestartBefore(comparator_, data_, restarts_, num_restarts_,
+                           target, &left)) {
+      CorruptionError();
+      return;
     }
 
     // Linear search (within restart region) for first key >= target.
@@ -178,7 +192,7 @@ class Block::Iter : public Iterator {
 
   uint32_t GetRestartPoint(uint32_t index) {
     assert(index < num_restarts_);
-    return DecodeFixed32(data_ + restarts_ + index * sizeof(uint32_t));
+    return RestartPoint(data_, restarts_, index);
   }
 
   void SeekToRestartPoint(uint32_t index) {
@@ -249,6 +263,46 @@ Iterator* Block::NewIterator(const Comparator* comparator) {
     return NewEmptyIterator();
   }
   return new Iter(comparator, data_, restart_offset_, num_restarts);
+}
+
+bool Block::Seek(const Comparator* comparator, const Slice& target,
+                 std::string* key_buf, Slice* key, Slice* value,
+                 Status* status) const {
+  *status = Status::OK();
+  if (size_ < sizeof(uint32_t)) {
+    *status = Status::Corruption("bad block contents");
+    return false;
+  }
+  const uint32_t num_restarts = NumRestarts();
+  if (num_restarts == 0) return false;
+  uint32_t restart = 0;
+  if (!FindRestartBefore(comparator, data_, restart_offset_, num_restarts,
+                         target, &restart)) {
+    *status = Status::Corruption("bad entry in block");
+    return false;
+  }
+  // Linear search within the restart region, rebuilding each key from its
+  // shared prefix in key_buf.
+  const char* p = data_ + RestartPoint(data_, restart_offset_, restart);
+  const char* limit = data_ + restart_offset_;
+  key_buf->clear();
+  while (p < limit) {
+    uint32_t shared, non_shared, value_length;
+    p = DecodeEntry(p, limit, &shared, &non_shared, &value_length);
+    if (p == nullptr || key_buf->size() < shared) {
+      *status = Status::Corruption("bad entry in block");
+      return false;
+    }
+    key_buf->resize(shared);
+    key_buf->append(p, non_shared);
+    if (comparator->Compare(Slice(*key_buf), target) >= 0) {
+      *key = Slice(*key_buf);
+      *value = Slice(p + non_shared, value_length);
+      return true;
+    }
+    p += non_shared + value_length;
+  }
+  return false;
 }
 
 }  // namespace leveldbpp

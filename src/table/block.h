@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "table/format.h"
 #include "table/iterator.h"
@@ -28,6 +29,16 @@ class Block {
 
   /// New forward iterator over the block's entries.
   Iterator* NewIterator(const Comparator* comparator);
+
+  /// Point seek without an iterator: find the first entry whose key is at
+  /// or past `target`. Returns true with *key and *value set when there is
+  /// one; *key is rebuilt in `key_buf`, which the caller owns and may reuse
+  /// (so a reused buffer allocates nothing), and *value points into the
+  /// block. Returns false when every key sorts before `target`, with
+  /// *status set to Corruption if the block does not parse.
+  bool Seek(const Comparator* comparator, const Slice& target,
+            std::string* key_buf, Slice* key, Slice* value,
+            Status* status) const;
 
  private:
   class Iter;

@@ -56,29 +56,37 @@ Status Footer::DecodeFrom(Slice* input) {
   return result;
 }
 
+namespace {
+
+// Room for n bytes in *array, growing it (and *capacity) only when needed.
+char* Reserve(std::unique_ptr<char[]>* array, size_t* capacity, size_t n) {
+  if (*capacity < n) {
+    array->reset(new char[n]);
+    *capacity = n;
+  }
+  return array->get();
+}
+
+}  // namespace
+
 Status ReadBlock(RandomAccessFile* file, bool verify_checksums,
-                 const BlockHandle& handle, BlockContents* result,
-                 Statistics* stats) {
+                 const BlockHandle& handle, BlockBuffer* buf,
+                 BlockContents* result, Statistics* stats) {
   result->data = Slice();
   result->cachable = false;
   result->heap_allocated = false;
 
   // Read the block contents as well as the type/crc footer.
   const size_t n = static_cast<size_t>(handle.size());
-  char* buf = new char[n + kBlockTrailerSize];
+  char* raw = Reserve(&buf->raw, &buf->raw_capacity, n + kBlockTrailerSize);
   Slice contents;
-  Status s =
-      file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf);
+  Status s = file->Read(handle.offset(), n + kBlockTrailerSize, &contents, raw);
   if (stats != nullptr) {
     stats->Record(kBlockRead);
     stats->Record(kBlockReadBytes, n + kBlockTrailerSize);
   }
-  if (!s.ok()) {
-    delete[] buf;
-    return s;
-  }
+  if (!s.ok()) return s;
   if (contents.size() != n + kBlockTrailerSize) {
-    delete[] buf;
     return Status::Corruption("truncated block read");
   }
 
@@ -88,7 +96,6 @@ Status ReadBlock(RandomAccessFile* file, bool verify_checksums,
     const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
     const uint32_t actual = crc32c::Value(data, n + 1);
     if (actual != crc) {
-      delete[] buf;
       if (stats != nullptr) stats->Record(kCorruptionBlocksDetected);
       return Status::Corruption("block checksum mismatch");
     }
@@ -96,19 +103,10 @@ Status ReadBlock(RandomAccessFile* file, bool verify_checksums,
 
   switch (data[n]) {
     case kNoCompression:
-      if (data != buf) {
-        // File implementation gave us pointer to some other data; use it
-        // directly under the assumption that it will be live while the file
-        // is open.
-        delete[] buf;
-        result->data = Slice(data, n);
-        result->heap_allocated = false;
-        result->cachable = false;  // Do not double-cache
-      } else {
-        result->data = Slice(buf, n);
-        result->heap_allocated = true;
-        result->cachable = true;
-      }
+      result->data = Slice(data, n);
+      // A file that returned a pointer to its own memory keeps it live
+      // while the file is open; do not double-cache it.
+      result->cachable = (data == raw);
       break;
     case kSimpleLZCompression: {
       uint32_t ulength = 0;
@@ -116,28 +114,40 @@ Status ReadBlock(RandomAccessFile* file, bool verify_checksums,
       // off, a damaged header could otherwise ask for up to 4 GiB.
       if (!simplelz::GetUncompressedLength(Slice(data, n), &ulength) ||
           ulength > simplelz::kMaxExpansion * n) {
-        delete[] buf;
         if (stats != nullptr) stats->Record(kCorruptionBlocksDetected);
         return Status::Corruption("corrupted compressed block contents");
       }
-      char* ubuf = new char[ulength];
+      char* ubuf = Reserve(&buf->data, &buf->data_capacity, ulength);
       if (!simplelz::Uncompress(Slice(data, n), ubuf)) {
-        delete[] buf;
-        delete[] ubuf;
         if (stats != nullptr) stats->Record(kCorruptionBlocksDetected);
         return Status::Corruption("corrupted compressed block contents");
       }
-      delete[] buf;
       result->data = Slice(ubuf, ulength);
-      result->heap_allocated = true;
       result->cachable = true;
       break;
     }
     default:
-      delete[] buf;
       return Status::Corruption("bad block type");
   }
   return Status::OK();
+}
+
+void DetachBlockContents(BlockBuffer* buf, BlockContents* contents) {
+  const char* p = contents->data.data();
+  std::unique_ptr<char[]>* array = nullptr;
+  size_t* capacity = nullptr;
+  if (p == buf->raw.get()) {
+    array = &buf->raw;
+    capacity = &buf->raw_capacity;
+  } else if (p == buf->data.get()) {
+    array = &buf->data;
+    capacity = &buf->data_capacity;
+  } else {
+    return;  // The file's own memory
+  }
+  array->release();
+  *capacity = 0;
+  contents->heap_allocated = true;
 }
 
 }  // namespace leveldbpp

@@ -14,6 +14,7 @@
 #define LEVELDBPP_TABLE_FORMAT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "compress/codec.h"
@@ -73,17 +74,36 @@ static const uint64_t kTableMagicNumber = 0x6c64622b69647821ull;
 // 1-byte compression type + 4-byte CRC of (block data + type).
 static const size_t kBlockTrailerSize = 5;
 
+/// The storage ReadBlock reads into. The caller owns it and may reuse it
+/// across reads: each array only grows, so a reader that keeps one stops
+/// allocating once it has held its largest block.
+struct BlockBuffer {
+  std::unique_ptr<char[]> raw;  // The block as stored, with its trailer
+  size_t raw_capacity = 0;
+  std::unique_ptr<char[]> data;  // A compressed block, decompressed
+  size_t data_capacity = 0;
+};
+
 struct BlockContents {
   Slice data;           // Actual contents of data
   bool cachable;        // True iff data can be cached
   bool heap_allocated;  // True iff caller should delete[] data.data()
 };
 
-/// Read the block identified by `handle` from `file`, verify its CRC,
-/// decompress if needed. Records kBlockRead / kBlockReadBytes on `stats`.
+/// Read the block identified by `handle` from `file` into `buf`, verify its
+/// CRC, decompress if needed. On success result->data points into `buf`
+/// (or into memory the file owns, which is not cachable) and stays valid
+/// until `buf` is read into again; DetachBlockContents gives it a lifetime
+/// of its own. Records kBlockRead / kBlockReadBytes on `stats`.
 Status ReadBlock(RandomAccessFile* file, bool verify_checksums,
-                 const BlockHandle& handle, BlockContents* result,
-                 Statistics* stats);
+                 const BlockHandle& handle, BlockBuffer* buf,
+                 BlockContents* result, Statistics* stats);
+
+/// Move the array of `buf` that `contents` points into out of `buf`, so the
+/// contents outlive it: heap_allocated becomes true and the caller (or the
+/// Block built on them) delete[]s it. Contents in file-owned memory are
+/// left as they are.
+void DetachBlockContents(BlockBuffer* buf, BlockContents* contents);
 
 }  // namespace leveldbpp
 

@@ -72,10 +72,12 @@ Status Table::Open(const Options& options, RandomAccessFile* file,
   // Read the index block. Always verified: a garbled index block would
   // misdirect every lookup in the table, and open-time is the only chance
   // to reject the file as a whole.
+  BlockBuffer index_buf;
   BlockContents index_block_contents;
   s = ReadBlock(file, /*verify_checksums=*/true, footer.index_handle(),
-                &index_block_contents, options.statistics);
+                &index_buf, &index_block_contents, options.statistics);
   if (!s.ok()) return s;
+  DetachBlockContents(&index_buf, &index_block_contents);
 
   Rep* rep = new Table::Rep;
   rep->options = options;
@@ -101,13 +103,15 @@ void Table::ReadMeta(const Footer& footer) {
   // filter parsed as garbage could answer "definitely absent" for keys the
   // table holds; failing the read instead degrades to fail-open (no
   // filter / no zone maps), which is merely slower, never wrong.
+  BlockBuffer buf;
   BlockContents contents;
   if (!ReadBlock(rep_->file, /*verify_checksums=*/true,
-                 footer.metaindex_handle(), &contents,
+                 footer.metaindex_handle(), &buf, &contents,
                  rep_->options.statistics)
            .ok()) {
     return;  // Do not propagate errors since meta info is not needed
   }
+  DetachBlockContents(&buf, &contents);
   Block* meta = new Block(contents);
 
   Iterator* iter = meta->NewIterator(BytewiseComparator());
@@ -144,9 +148,10 @@ void Table::ReadMeta(const Footer& footer) {
     BlockHandle handle;
     if (handle.DecodeFrom(&v).ok()) {
       BlockContents zcontents;
-      if (ReadBlock(rep_->file, /*verify_checksums=*/true, handle, &zcontents,
-                    rep_->options.statistics)
+      if (ReadBlock(rep_->file, /*verify_checksums=*/true, handle, &buf,
+                    &zcontents, rep_->options.statistics)
               .ok()) {
+        DetachBlockContents(&buf, &zcontents);
         if (ZoneMapReader::Decode(zcontents.data, &rep_->zonemaps).ok()) {
           rep_->has_zonemaps = true;
         }
@@ -170,12 +175,14 @@ void Table::ReadFilter(const Slice& filter_handle_value,
     return;
   }
 
+  BlockBuffer buf;
   BlockContents block;
-  if (!ReadBlock(rep_->file, /*verify_checksums=*/true, filter_handle, &block,
-                 rep_->options.statistics)
+  if (!ReadBlock(rep_->file, /*verify_checksums=*/true, filter_handle, &buf,
+                 &block, rep_->options.statistics)
            .ok()) {
     return;
   }
+  DetachBlockContents(&buf, &block);
   if (block.heap_allocated) {
     *data_out = block.data.data();  // Will need to delete later
   }
@@ -211,72 +218,76 @@ static void ReleaseBlock(void* arg, void* h) {
   cache->Release(handle);
 }
 
+Status Table::LoadBlock(const ReadOptions& options, const BlockHandle& handle,
+                       Block** block, Cache::Handle** cache_handle) const {
+  *block = nullptr;
+  *cache_handle = nullptr;
+  Cache* block_cache = rep_->options.block_cache;
+  Statistics* stats = rep_->options.statistics;
+  char cache_key_buffer[16];
+  Slice key;
+  if (block_cache != nullptr) {
+    EncodeFixed64(cache_key_buffer, rep_->cache_id);
+    EncodeFixed64(cache_key_buffer + 8, handle.offset());
+    key = Slice(cache_key_buffer, sizeof(cache_key_buffer));
+    *cache_handle = block_cache->Lookup(key);
+    if (*cache_handle != nullptr) {
+      *block = reinterpret_cast<Block*>(block_cache->Value(*cache_handle));
+      if (stats != nullptr) stats->Record(kBlockCacheHit);
+      return Status::OK();
+    }
+    if (stats != nullptr) stats->Record(kBlockCacheMiss);
+  }
+  BlockBuffer buf;
+  BlockContents contents;
+  Status s = ReadBlock(rep_->file, options.verify_checksums, handle, &buf,
+                       &contents, stats);
+  if (!s.ok()) return s;
+  DetachBlockContents(&buf, &contents);
+  *block = new Block(contents);
+  if (block_cache != nullptr && contents.cachable && options.fill_cache) {
+    *cache_handle = block_cache->Insert(key, *block, (*block)->size(),
+                                        &DeleteCachedBlock);
+  }
+  return Status::OK();
+}
+
+void Table::NoteDamagedBlock(const Status& s, uint64_t offset) const {
+  if (s.IsCorruption() && rep_->quarantine != nullptr &&
+      rep_->quarantine->Add(rep_->file_number, offset)) {
+    Statistics* stats = rep_->options.statistics;
+    if (stats != nullptr) stats->Record(kCorruptionBlocksQuarantined);
+  }
+}
+
 // Convert an index-entry value (an encoded BlockHandle) into an iterator
 // over the contents of the corresponding block, going through the block
 // cache if one is configured.
 Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
                              const Slice& index_value) {
   Table* table = reinterpret_cast<Table*>(arg);
-  Cache* block_cache = table->rep_->options.block_cache;
   Block* block = nullptr;
   Cache::Handle* cache_handle = nullptr;
 
   BlockHandle handle;
   Slice input = index_value;
   Status s = handle.DecodeFrom(&input);
-
   if (s.ok()) {
-    BlockContents contents;
-    if (block_cache != nullptr) {
-      char cache_key_buffer[16];
-      EncodeFixed64(cache_key_buffer, table->rep_->cache_id);
-      EncodeFixed64(cache_key_buffer + 8, handle.offset());
-      Slice key(cache_key_buffer, sizeof(cache_key_buffer));
-      cache_handle = block_cache->Lookup(key);
-      Statistics* stats = table->rep_->options.statistics;
-      if (cache_handle != nullptr) {
-        block = reinterpret_cast<Block*>(block_cache->Value(cache_handle));
-        if (stats != nullptr) stats->Record(kBlockCacheHit);
-      } else {
-        if (stats != nullptr) stats->Record(kBlockCacheMiss);
-        s = ReadBlock(table->rep_->file, options.verify_checksums, handle,
-                      &contents, stats);
-        if (s.ok()) {
-          block = new Block(contents);
-          if (contents.cachable && options.fill_cache) {
-            cache_handle = block_cache->Insert(key, block, block->size(),
-                                               &DeleteCachedBlock);
-          }
-        }
-      }
-    } else {
-      s = ReadBlock(table->rep_->file, options.verify_checksums, handle,
-                    &contents, table->rep_->options.statistics);
-      if (s.ok()) {
-        block = new Block(contents);
-      }
-    }
+    s = table->LoadBlock(options, handle, &block, &cache_handle);
+  }
+  if (!s.ok()) {
+    table->NoteDamagedBlock(s, handle.offset());
+    return NewErrorIterator(s);
   }
 
-  Iterator* iter;
-  if (block != nullptr) {
-    iter = block->NewIterator(table->rep_->options.comparator);
-    if (cache_handle == nullptr) {
-      iter->RegisterCleanup([block]() { DeleteBlock(block, nullptr); });
-    } else {
-      iter->RegisterCleanup([block_cache, cache_handle]() {
-        ReleaseBlock(block_cache, cache_handle);
-      });
-    }
+  Iterator* iter = block->NewIterator(table->rep_->options.comparator);
+  if (cache_handle == nullptr) {
+    iter->RegisterCleanup([block]() { DeleteBlock(block, nullptr); });
   } else {
-    if (s.IsCorruption() && table->rep_->quarantine != nullptr) {
-      if (table->rep_->quarantine->Add(table->rep_->file_number,
-                                       handle.offset())) {
-        Statistics* stats = table->rep_->options.statistics;
-        if (stats != nullptr) stats->Record(kCorruptionBlocksQuarantined);
-      }
-    }
-    iter = NewErrorIterator(s);
+    Cache* block_cache = table->rep_->options.block_cache;
+    iter->RegisterCleanup([block_cache, cache_handle]() {
+      ReleaseBlock(block_cache, cache_handle);
+    });
   }
   return iter;
 }
@@ -288,53 +299,75 @@ Iterator* Table::NewIterator(const ReadOptions& options) const {
 }
 
 Status Table::InternalGet(const ReadOptions& options, const Slice& k,
-                          void* arg,
+                          BlockMemo* memo, void* arg,
                           void (*handle_result)(void*, const Slice&,
                                                 const Slice&)) {
+  const Comparator* cmp = rep_->options.comparator;
+  Statistics* stats = rep_->options.statistics;
+  Slice found_key, handle_value;
   Status s;
-  Iterator* iiter = rep_->index_block->NewIterator(rep_->options.comparator);
-  iiter->Seek(k);
-  if (iiter->Valid()) {
-    // Which data-block ordinal is this? The index iterator doesn't say, so
-    // recover it by handle offset (binary search over the decoded handles).
-    Slice handle_value = iiter->value();
-    BlockHandle handle;
-    Slice hv = handle_value;
-    bool may_match = true;
-    FilterBlockReader* filter = rep_->filter;
-    if (filter != nullptr && handle.DecodeFrom(&hv).ok()) {
-      size_t block_idx = BlockIndexForOffset(handle.offset());
-      Statistics* stats = rep_->options.statistics;
-      if (stats != nullptr) stats->Record(kBloomPrimaryChecked);
-      if (!filter->KeyMayMatch(block_idx, k)) {
-        may_match = false;
-        if (stats != nullptr) stats->Record(kBloomPrimaryUseful);
-      }
-    }
-    if (may_match) {
-      Iterator* block_iter = BlockReader(const_cast<Table*>(this), options,
-                                         handle_value);
-      block_iter->Seek(k);
-      if (block_iter->Valid()) {
-        (*handle_result)(arg, block_iter->key(), block_iter->value());
-      }
-      s = block_iter->status();
-      delete block_iter;
-      // Quarantine semantics (non-paranoid, registry attached): a
-      // checksum-failed block holds no trustworthy data, so treat it as
-      // holding none at all — the caller falls through to older levels.
-      // BlockReader already recorded the block; paranoid mode keeps the
-      // fail-fast error.
-      if (s.IsCorruption() && !rep_->options.paranoid_checks &&
-          rep_->quarantine != nullptr) {
-        s = Status::OK();
-      }
+  if (!rep_->index_block->Seek(cmp, k, &memo->key_buf, &found_key,
+                               &handle_value, &s)) {
+    return s;  // Past the last block, or a damaged index block
+  }
+  BlockHandle handle;
+  Slice hv = handle_value;
+  s = handle.DecodeFrom(&hv);
+  if (s.ok() && rep_->filter != nullptr) {
+    const size_t block_idx = BlockIndexForOffset(handle.offset());
+    if (stats != nullptr) stats->Record(kBloomPrimaryChecked);
+    if (!rep_->filter->KeyMayMatch(block_idx, k)) {
+      if (stats != nullptr) stats->Record(kBloomPrimaryUseful);
+      return Status::OK();
     }
   }
-  if (s.ok()) {
-    s = iiter->status();
+
+  // The data block: the memo's (no block cache), or a cached one, or one
+  // the cache did not take, which this lookup deletes.
+  Block* block = nullptr;
+  Cache::Handle* cache_handle = nullptr;
+  const bool memoized = rep_->options.block_cache == nullptr;
+  if (s.ok() && !memoized) {
+    s = LoadBlock(options, handle, &block, &cache_handle);
+  } else if (s.ok() && memo->table == this && memo->offset == handle.offset()) {
+    block = &*memo->block;
+    if (stats != nullptr) stats->Record(kBlockReadReused);
+  } else if (s.ok()) {
+    memo->Clear();  // The read below overwrites the buffers it holds
+    BlockContents contents;
+    s = ReadBlock(rep_->file, options.verify_checksums, handle, &memo->buf,
+                  &contents, stats);
+    if (s.ok()) {
+      block = &memo->block.emplace(contents);
+      memo->table = this;
+      memo->offset = handle.offset();
+    }
   }
-  delete iiter;
+  // A handle that does not decode fails like an unreadable block.
+  if (!s.ok()) NoteDamagedBlock(s, handle.offset());
+
+  if (block != nullptr) {
+    Slice key, value;
+    if (block->Seek(cmp, k, &memo->key_buf, &key, &value, &s)) {
+      (*handle_result)(arg, key, value);
+    }
+    if (memoized) {
+      if (!s.ok()) memo->Clear();  // A block that does not parse is not kept
+    } else if (cache_handle != nullptr) {
+      rep_->options.block_cache->Release(cache_handle);
+    } else {
+      delete block;
+    }
+  }
+  // Quarantine semantics (non-paranoid, registry attached): a
+  // checksum-failed block holds no trustworthy data, so treat it as
+  // holding none at all — the caller falls through to older levels.
+  // NoteDamagedBlock already recorded a block that failed its read;
+  // paranoid mode keeps the fail-fast error.
+  if (s.IsCorruption() && !rep_->options.paranoid_checks &&
+      rep_->quarantine != nullptr) {
+    s = Status::OK();
+  }
   return s;
 }
 

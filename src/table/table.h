@@ -7,17 +7,25 @@
 //   * per-block / per-file zone-map overlap checks,
 //   * direct iteration of one data block by ordinal,
 //   * a no-I/O primary-key presence probe (backing GetLite).
+//
+// The point lookup (InternalGet) builds no iterator: it point-seeks the
+// index block and the data block, and without a block cache decodes the
+// data block into the caller's BlockMemo, which keeps it for the next
+// lookup of the same sweep.
 
 #ifndef LEVELDBPP_TABLE_TABLE_H_
 #define LEVELDBPP_TABLE_TABLE_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cache/cache.h"
 #include "db/options.h"
 #include "env/env.h"
+#include "table/block.h"
 #include "table/format.h"
 #include "table/iterator.h"
 #include "util/status.h"
@@ -25,6 +33,29 @@
 namespace leveldbpp {
 
 class BlockQuarantine;
+class Table;
+
+/// The last data block a sweep of point lookups decoded, with the buffers
+/// it was read into and the key scratch of their seeks. Table::InternalGet
+/// serves a lookup that lands in the same block of the same table from it
+/// instead of reading, checksumming and decompressing the block again;
+/// only a block that passed every check is kept. Keyed by the Table's
+/// address, so every table a memo has seen must stay open while the memo
+/// is in use (TablePins holds one, and pins every table it reads), and a
+/// sweep reads with one ReadOptions throughout. Not thread-safe: one memo
+/// per sweep.
+struct BlockMemo {
+  void Clear() {
+    table = nullptr;
+    block.reset();
+  }
+
+  const Table* table = nullptr;  // Null: nothing kept
+  uint64_t offset = 0;
+  std::optional<Block> block;  // Over `buf`'s contents
+  BlockBuffer buf;
+  std::string key_buf;  // Key scratch for the point seeks
+};
 
 class Table {
  public:
@@ -44,8 +75,11 @@ class Table {
 
   /// Point lookup: if the table may contain an entry >= `k` in the block
   /// that could hold `k`, invoke handle_result(arg, key, value) on the first
-  /// such entry. Applies the primary bloom filter first.
-  Status InternalGet(const ReadOptions&, const Slice& key, void* arg,
+  /// such entry. Applies the primary bloom filter first. Without a block
+  /// cache the data block is read through `memo` (see BlockMemo); with one,
+  /// through the cache, and `memo` lends only its key scratch.
+  Status InternalGet(const ReadOptions&, const Slice& key, BlockMemo* memo,
+                     void* arg,
                      void (*handle_result)(void* arg, const Slice& k,
                                            const Slice& v));
 
@@ -92,6 +126,15 @@ class Table {
   struct Rep;
 
   static Iterator* BlockReader(void*, const ReadOptions&, const Slice&);
+
+  /// A data block of its own (*cache_handle null: the caller deletes
+  /// *block) or, with a block cache, a cached one (release *cache_handle).
+  Status LoadBlock(const ReadOptions&, const BlockHandle& handle,
+                   Block** block, Cache::Handle** cache_handle) const;
+
+  /// Record a data block whose read failed with `s` in the quarantine
+  /// registry, if one is attached and `s` is a Corruption.
+  void NoteDamagedBlock(const Status& s, uint64_t offset) const;
 
   explicit Table(Rep* rep) : rep_(rep) {}
 

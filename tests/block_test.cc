@@ -1,5 +1,5 @@
 // Data-block format tests: restart-point prefix compression round-trips,
-// seeks, and parameterized restart intervals.
+// seeks (iterator and point seek), and parameterized restart intervals.
 
 #include "table/block.h"
 
@@ -7,6 +7,8 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "table/block_builder.h"
 #include "util/comparator.h"
@@ -115,6 +117,41 @@ TEST_P(BlockRoundTripTest, EmptyKeysAndValues) {
   EXPECT_EQ(std::string(1000, 'v'), it->value().ToString());
 }
 
+// The iterator-free point seek lands where the iterator's Seek does, for
+// every key, every gap, and targets before and past the block, reusing one
+// key buffer throughout.
+TEST_P(BlockRoundTripTest, PointSeekMatchesIterator) {
+  std::map<std::string, std::string> entries;
+  Random64 rnd(GetParam() + 7);
+  for (int i = 0; i < 300; i++) {
+    std::string key = "prefix/" + std::to_string(rnd.Uniform(10)) + "/key" +
+                      std::to_string(i);
+    entries[key] = "value" + std::to_string(i);
+  }
+  Build(entries);
+  std::vector<std::string> targets = {"", "a", "prefix/", "zzzz"};
+  for (const auto& [key, value] : entries) {
+    targets.push_back(key);
+    targets.push_back(key + "0");  // Between this key and its successor
+  }
+  std::unique_ptr<Iterator> it(NewIterator());
+  std::string key_buf;
+  for (const std::string& target : targets) {
+    it->Seek(target);
+    Slice key, value;
+    Status s;
+    const bool found = block_->Seek(BytewiseComparator(), target, &key_buf,
+                                    &key, &value, &s);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_EQ(it->Valid(), found) << "target " << target;
+    if (found) {
+      EXPECT_EQ(it->key().ToString(), key.ToString()) << "target " << target;
+      EXPECT_EQ(it->value().ToString(), value.ToString())
+          << "target " << target;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RestartIntervals, BlockRoundTripTest,
                          testing::Values(1, 2, 16, 128),
                          [](const testing::TestParamInfo<int>& info) {
@@ -133,6 +170,13 @@ TEST(BlockTest, CorruptContentsYieldErrorIterator) {
   // Either an error iterator or safely invalid — never a crash.
   it->Seek("x");
   EXPECT_FALSE(it->Valid());
+  // The point seek reports the damage instead of an entry.
+  std::string key_buf;
+  Slice key, value;
+  Status s;
+  EXPECT_FALSE(
+      block.Seek(BytewiseComparator(), "x", &key_buf, &key, &value, &s));
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
 }  // namespace

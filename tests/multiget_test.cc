@@ -141,9 +141,11 @@ uint64_t BlockReads(DBImpl* db) {
 
 // Batched and single-key reads must agree per key on the status (errors
 // included), the value and where the record was found. With statistics on,
-// the batch must also read exactly the blocks the Get loop reads. The first
-// batch opens every table either side probes, so the Get loop and the
-// second batch both count block reads against warm tables.
+// the batch must also read no more blocks than the Get loop: a run of
+// sorted keys reads a block its neighbours share once (the run's
+// BlockMemo), where each Get reads it again. The first batch opens every
+// table either side probes, so the Get loop and the second batch both
+// count block reads against warm tables.
 void CheckMultiGetMatchesGet(DBImpl* db,
                              const std::vector<std::string>& key_strs,
                              const ReadOptions& read_options) {
@@ -173,7 +175,7 @@ void CheckMultiGetMatchesGet(DBImpl* db,
   ASSERT_EQ(any_error, !s.ok());
   const uint64_t get_reads = BlockReads(db) - get_reads_before;
   db->MultiGetWithMeta(read_options, keys, &values, &locs, &statuses);
-  EXPECT_EQ(get_reads, BlockReads(db) - get_reads_before - get_reads)
+  EXPECT_LE(BlockReads(db) - get_reads_before - get_reads, get_reads)
       << "block reads of the batch against the Get loop";
 }
 

@@ -3,7 +3,8 @@
 // checksum verification off (the checksum is what would normally catch it).
 //
 // This binary replaces the global array operator new to record the largest
-// single request, which is how the tests see what ReadBlock allocated.
+// single request, which is how the tests see what ReadBlock allocated. The
+// same hook shows that a reused BlockBuffer makes a read allocate nothing.
 
 #include <gtest/gtest.h>
 
@@ -48,7 +49,7 @@ class ReadBlockCorruptionTest : public testing::Test {
   }
 
   // Writes `payload` as a kSimpleLZCompression block with a valid trailer
-  // and reads it back through ReadBlock.
+  // and reads it back through ReadBlock into buf_.
   Status WriteAndRead(const std::string& payload, bool verify_checksums,
                       BlockContents* contents) {
     std::string file = payload;
@@ -66,7 +67,8 @@ class ReadBlockCorruptionTest : public testing::Test {
     handle.set_offset(0);
     handle.set_size(payload.size());
     largest_array_new = 0;
-    return ReadBlock(r.get(), verify_checksums, handle, contents, &stats_);
+    return ReadBlock(r.get(), verify_checksums, handle, &buf_, contents,
+                     &stats_);
   }
 
   // The payload with its varint length header replaced by `ulength`.
@@ -82,6 +84,7 @@ class ReadBlockCorruptionTest : public testing::Test {
 
   std::unique_ptr<Env> env_;
   Statistics stats_;
+  BlockBuffer buf_;
   std::string raw_;
   std::string payload_;
 };
@@ -91,11 +94,27 @@ TEST_F(ReadBlockCorruptionTest, SoundBlockDecodes) {
   BlockContents contents;
   ASSERT_TRUE(
       WriteAndRead(payload_, /*verify_checksums=*/true, &contents).ok());
+  EXPECT_FALSE(contents.heap_allocated);  // Still buf_'s
+  DetachBlockContents(&buf_, &contents);
   ASSERT_TRUE(contents.heap_allocated);
   EXPECT_EQ(raw_, contents.data.ToString());
   EXPECT_EQ(raw_.size(), largest_array_new.load());
   EXPECT_EQ(0u, stats_.Get(kCorruptionBlocksDetected));
   delete[] contents.data.data();
+}
+
+// A buffer kept across reads: the second read of the same block reads and
+// decodes into the arrays the first one sized, allocating nothing.
+TEST_F(ReadBlockCorruptionTest, ReusedBufferAllocatesNothing) {
+  BlockContents contents;
+  ASSERT_TRUE(
+      WriteAndRead(payload_, /*verify_checksums=*/true, &contents).ok());
+  const char* first = contents.data.data();
+  ASSERT_TRUE(
+      WriteAndRead(payload_, /*verify_checksums=*/true, &contents).ok());
+  EXPECT_EQ(0u, largest_array_new.load());
+  EXPECT_EQ(first, contents.data.data());
+  EXPECT_EQ(raw_, contents.data.ToString());
 }
 
 TEST_F(ReadBlockCorruptionTest, ForgedHugeLengthAllocatesNothing) {

@@ -87,11 +87,12 @@ Status ReadLayout(Env* env, const std::string& fname, TableLayout* out) {
   if (!s.ok()) return s;
   out->metaindex = footer.metaindex_handle();
   out->index = footer.index_handle();
+  BlockBuffer buf;
   BlockContents contents;
   s = ReadBlock(file.get(), /*verify_checksums=*/true,
-                footer.metaindex_handle(), &contents, nullptr);
+                footer.metaindex_handle(), &buf, &contents, nullptr);
   if (!s.ok()) return s;
-  Block block(contents);
+  Block block(contents);  // Over buf's contents, which outlive it
   std::unique_ptr<Iterator> it(block.NewIterator(BytewiseComparator()));
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     Slice v = it->value();

@@ -56,7 +56,7 @@ TEST_F(TableCacheTest, IterateAndGet) {
   Table* table = nullptr;
   ASSERT_TRUE(pins.Find(7, size, &table).ok());
   ASSERT_TRUE(table
-                  ->InternalGet(ReadOptions(), "hello", &result,
+                  ->InternalGet(ReadOptions(), "hello", pins.memo(), &result,
                                 [](void* arg, const Slice&, const Slice& v) {
                                   auto* r = reinterpret_cast<Result*>(arg);
                                   r->found = true;

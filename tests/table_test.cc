@@ -129,8 +129,9 @@ TEST_F(TableTest, InternalGetFindsEntries) {
   };
 
   Result r;
+  BlockMemo memo;
   ASSERT_TRUE(
-      table_->InternalGet(ReadOptions(), "key1050", &r, handler).ok());
+      table_->InternalGet(ReadOptions(), "key1050", &memo, &r, handler).ok());
   ASSERT_TRUE(r.found);
   EXPECT_EQ("val50", r.value);
 }

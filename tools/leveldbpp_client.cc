@@ -25,7 +25,6 @@
 // anything else — a sign, a suffix, an overflow — is a usage error.
 // Exit status: 0 ok, 1 not found / error, 2 usage.
 
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -33,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "parse_number.h"
 #include "serve/client.h"
 
 namespace {
@@ -47,13 +47,6 @@ void Usage() {
                "  ping | put K JSON | get K | del K |\n"
                "  lookup ATTR VALUE [K] | range ATTR LO HI [K] |\n"
                "  stats | health\n");
-}
-
-// Strict decimal parse of `text` into [0, max]: digits only, nothing after.
-bool ParseNumber(const std::string& text, uint64_t max, uint64_t* out) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return !text.empty() && ec == std::errc() && ptr == end && *out <= max;
 }
 
 void PrintResults(const std::vector<QueryResult>& results) {

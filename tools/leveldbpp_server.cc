@@ -12,6 +12,9 @@
 // bound concurrent work and sockets (0 = unlimited), and --idle-timeout-ms
 // reaps silent connections.
 //
+// Every number is a plain decimal (port at most 65535); anything else — a
+// sign, a suffix, an overflow — prints usage and exits 2.
+//
 // Opens (creating if missing) a ShardedDB at PATH with N shards and listens
 // on H:P (port 0 = pick an ephemeral port). Prints exactly one line
 //
@@ -21,13 +24,15 @@
 // serves until SIGINT/SIGTERM. Background compaction runs per shard, as a
 // server should.
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "parse_number.h"
 #include "serve/server.h"
 #include "serve/sharded_db.h"
 
@@ -76,24 +81,28 @@ std::vector<std::string> SplitCommas(const std::string& s) {
 int main(int argc, char** argv) {
   std::string db_path, host = "127.0.0.1", type_name = "embedded";
   std::string attrs = "UserID,CreationTime";
-  int shards = 4, port = 0;
-  int max_inflight = 0, max_connections = 0;
+  uint64_t shards = 4, port = 0;
+  uint64_t max_inflight = 0, max_connections = 0;
   uint64_t idle_timeout_ms = 0;
   bool shed_stalled_writes = true;
+  bool numbers_ok = true;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
     if (arg.rfind("--db=", 0) == 0) db_path = arg.substr(5);
-    else if (arg.rfind("--shards=", 0) == 0) shards = std::atoi(arg.c_str() + 9);
-    else if (arg.rfind("--port=", 0) == 0) port = std::atoi(arg.c_str() + 7);
+    else if (arg.rfind("--shards=", 0) == 0)
+      numbers_ok &= ParseNumber(arg.substr(9), INT_MAX, &shards);
+    else if (arg.rfind("--port=", 0) == 0)
+      numbers_ok &= ParseNumber(arg.substr(7), 65535, &port);
     else if (arg.rfind("--host=", 0) == 0) host = arg.substr(7);
     else if (arg.rfind("--type=", 0) == 0) type_name = arg.substr(7);
     else if (arg.rfind("--attrs=", 0) == 0) attrs = arg.substr(8);
     else if (arg.rfind("--max-inflight=", 0) == 0)
-      max_inflight = std::atoi(arg.c_str() + 15);
+      numbers_ok &= ParseNumber(arg.substr(15), INT_MAX, &max_inflight);
     else if (arg.rfind("--max-connections=", 0) == 0)
-      max_connections = std::atoi(arg.c_str() + 18);
+      numbers_ok &= ParseNumber(arg.substr(18), INT_MAX, &max_connections);
     else if (arg.rfind("--idle-timeout-ms=", 0) == 0)
-      idle_timeout_ms = std::strtoull(arg.c_str() + 18, nullptr, 10);
+      numbers_ok &=
+          ParseNumber(arg.substr(18), UINT64_MAX / 1000, &idle_timeout_ms);
     else if (arg == "--no-shed-stalled-writes") shed_stalled_writes = false;
     else if (arg == "--help" || arg == "-h") { Usage(); return 0; }
     else {
@@ -102,13 +111,18 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (!numbers_ok) {
+    std::fprintf(stderr, "malformed number in a flag\n");
+    Usage();
+    return 2;
+  }
   if (db_path.empty()) {
     Usage();
     return 2;
   }
 
   ShardedDBOptions options;
-  options.num_shards = shards;
+  options.num_shards = static_cast<int>(shards);
   options.shard.indexed_attributes = SplitCommas(attrs);
   options.shard.base.background_compaction = true;
   if (!ParseIndexType(type_name, &options.shard.index_type)) {
@@ -125,10 +139,10 @@ int main(int argc, char** argv) {
 
   ServerOptions server_options;
   server_options.host = host;
-  server_options.port = port;
+  server_options.port = static_cast<int>(port);
   server_options.shed_stalled_writes = shed_stalled_writes;
-  server_options.max_inflight_requests = max_inflight;
-  server_options.max_connections = max_connections;
+  server_options.max_inflight_requests = static_cast<int>(max_inflight);
+  server_options.max_connections = static_cast<int>(max_connections);
   server_options.idle_timeout_micros = idle_timeout_ms * 1000;
   std::unique_ptr<Server> server;
   s = Server::Start(db.get(), server_options, &server);
