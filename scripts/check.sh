@@ -26,8 +26,11 @@ cd "$(dirname "$0")/.."
 # publishes to the caller. And the point read's block memo (BlockMemo*,
 # *PointSeek*, *ReusedBuffer*): a sweep's lookups seek into a block that a
 # reused buffer holds, and a query holds one read view across the pool's
-# runs.
-SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList|NewestFirst|ShardedDBTest.ParallelReadsMatchUnsharded|ThreadPool|BlockMemo|PointSeek|ReusedBuffer"
+# runs. And the Lazy index's append-only memtable (LazyConcurrency*,
+# LazyMemtableGrowsLinearly*, LazyFlushWritesOneFragmentPerKey*): reads
+# and flushes merge a memtable's versions of a key, held as slices into its
+# arena, while writers append more.
+SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList|NewestFirst|ShardedDBTest.ParallelReadsMatchUnsharded|ThreadPool|BlockMemo|PointSeek|ReusedBuffer|LazyConcurrency|LazyMemtableGrowsLinearly|LazyFlushWritesOneFragmentPerKey"
 if [[ "${1:-}" == "--sanitize-all" || "${1:-}" == "--tsan-all" ]]; then
   SAN_FILTER=""
 fi

@@ -11,6 +11,19 @@
 
 namespace leveldbpp {
 
+namespace {
+
+// One residence's fragment of a key: its versions parsed (a malformed one
+// is skipped) and merged in read order.
+void ParseFragment(const std::vector<Slice>& versions,
+                   std::vector<PostingEntry>* entries) {
+  entries->clear();
+  for (const Slice& v : versions) PostingList::ParseAppend(v, entries);
+  if (versions.size() > 1) PostingList::MergeForRead(entries);
+}
+
+}  // namespace
+
 Status LazyIndex::Open(std::string attribute, DBImpl* primary,
                        const Options& base, const std::string& path,
                        std::unique_ptr<SecondaryIndex>* out) {
@@ -27,8 +40,9 @@ Status LazyIndex::Open(std::string attribute, DBImpl* primary,
 Status LazyIndex::OnPut(const Slice& primary_key, const Slice& attr_value,
                         SequenceNumber seq) {
   // Append-only: write a one-entry fragment; no read of the existing list.
-  // (The engine merges it with the memtable's current fragment in memory,
-  // and compaction merges across levels.)
+  // The memtable keeps it as a version of its own; reads merge a memtable's
+  // versions, flush merges them into one fragment per table, and
+  // compaction merges across levels.
   std::string fragment;
   PostingList::Serialize({PostingEntry(primary_key.ToString(), seq, false)},
                          &fragment);
@@ -72,14 +86,13 @@ Status LazyIndex::BulkLoad(const std::vector<IndexOp>& entries) {
       s = index_db_->GetFragments(
           ReadOptions(), Slice(attr_value),
           [&](int /*rank*/, SequenceNumber /*fseq*/, bool frag_deleted,
-              const Slice& fragment) {
+              const std::vector<Slice>& versions) {
             if (frag_deleted) return false;  // Tombstone guards the rest
             std::vector<PostingEntry> existing;
-            if (PostingList::Parse(fragment, &existing)) {
-              for (PostingEntry& e : existing) {
-                if (have.insert(e.primary_key).second) {
-                  list.push_back(std::move(e));
-                }
+            ParseFragment(versions, &existing);
+            for (PostingEntry& e : existing) {
+              if (have.insert(e.primary_key).second) {
+                list.push_back(std::move(e));
               }
             }
             return true;
@@ -113,30 +126,28 @@ Status LazyIndex::Lookup(const Slice& value, size_t k,
   // at the first level boundary where the heap is full.
   CandidateSink sink(primary_, k, attribute_, value, value);
   std::set<std::string> seen;  // Shadowing: newer fragments win per key
+  std::vector<PostingEntry> entries;
   Status validate_status;
   Status s = index_db_->GetFragments(
       ReadOptions(), value,
       [&](int /*rank*/, SequenceNumber /*fseq*/, bool frag_deleted,
-          const Slice& fragment) {
+          const std::vector<Slice>& versions) {
         if (frag_deleted) {
           return false;  // Whole-list tombstone shadows everything older.
         }
-        std::vector<PostingEntry> entries;
-        if (PostingList::Parse(fragment, &entries)) {
-          // Counted at parse time (entries in the lists this query read), so
-          // the value is identical at every read_parallelism setting.
-          PerfCounterAdd(&PerfContext::posting_entries_scanned,
-                         entries.size());
-          for (const PostingEntry& e : entries) {
-            if (!seen.insert(e.primary_key).second) continue;
-            if (e.deleted) continue;  // Marker shadows older occurrences
-            if (!sink.WouldAdmit(e.seq)) continue;
-            validate_status = sink.Offer(Slice(e.primary_key), e.seq);
-            if (!validate_status.ok()) return false;
-          }
-          validate_status = sink.Flush();
+        ParseFragment(versions, &entries);
+        // Counted at parse time (entries in the lists this query read), so
+        // the value is identical at every read_parallelism setting.
+        PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
+        for (const PostingEntry& e : entries) {
+          if (!seen.insert(e.primary_key).second) continue;
+          if (e.deleted) continue;  // Marker shadows older occurrences
+          if (!sink.WouldAdmit(e.seq)) continue;
+          validate_status = sink.Offer(Slice(e.primary_key), e.seq);
           if (!validate_status.ok()) return false;
         }
+        validate_status = sink.Flush();
+        if (!validate_status.ok()) return false;
         // Stop descending once top-K is complete — unless a crash-stale
         // admission (a result validated below its stored seq) broke the
         // levels-are-older invariant, after which a full heap no longer
@@ -169,41 +180,53 @@ Status LazyIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
   std::string seek_key;
   AppendInternalKey(&seek_key, ParsedInternalKey(lo, kMaxSequenceNumber,
                                                  kValueTypeForSeek));
+  std::string attr;
+  std::vector<PostingEntry> entries;
   for (Iterator* it : levels.iters) {
-    // Within one recency bucket a secondary key may still have several
-    // versions (unflushed memtable history); internal ordering puts the
-    // newest first, and only it reflects the bucket's fragment.
-    std::string prev_attr;
-    bool has_prev = false;
-    for (it->Seek(Slice(seek_key)); it->Valid(); it->Next()) {
+    it->Seek(Slice(seek_key));
+    while (it->Valid()) {
       ParsedInternalKey ikey;
-      if (!ParseInternalKey(it->key(), &ikey)) continue;
-      if (ikey.user_key.compare(hi) > 0) break;
-      if (has_prev && Slice(prev_attr) == ikey.user_key) continue;
-      prev_attr.assign(ikey.user_key.data(), ikey.user_key.size());
-      has_prev = true;
-      if (ikey.type != kTypeValue) {
-        // Whole-list tombstone: shadow every pair of this secondary key in
-        // older buckets. Modeled by a sentinel primary key "" plus marking
-        // all future occurrences via the deleted-set below would be
-        // complex; instead record the attr value as fully shadowed.
-        seen.emplace(prev_attr, std::string());
+      if (!ParseInternalKey(it->key(), &ikey)) {
+        it->Next();
         continue;
       }
-      if (seen.count(std::make_pair(prev_attr, std::string())) != 0) {
-        continue;  // Whole list tombstoned by a newer bucket.
+      if (ikey.user_key.compare(hi) > 0) break;
+      // Union the bucket's versions of this secondary key, newest first,
+      // down to the first tombstone (a memtable keeps one version per
+      // write): they are the bucket's one fragment of the key.
+      attr.assign(ikey.user_key.data(), ikey.user_key.size());
+      // A whole list tombstoned by a newer bucket is passed over.
+      const bool shadowed =
+          seen.count(std::make_pair(attr, std::string())) != 0;
+      entries.clear();
+      size_t versions = 0;
+      bool tombstone = false;
+      for (; it->Valid(); it->Next()) {
+        if (!ParseInternalKey(it->key(), &ikey)) continue;
+        if (ikey.user_key != Slice(attr)) break;
+        if (shadowed || tombstone) continue;
+        if (ikey.type != kTypeValue) {
+          tombstone = true;
+        } else if (PostingList::ParseAppend(it->value(), &entries)) {
+          versions++;
+        }
       }
-      std::vector<PostingEntry> entries;
-      if (!PostingList::Parse(it->value(), &entries)) continue;
+      if (shadowed) continue;
+      if (versions > 1) PostingList::MergeForRead(&entries);
       PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
       for (const PostingEntry& e : entries) {
-        if (!seen.insert(std::make_pair(prev_attr, e.primary_key)).second) {
+        if (!seen.insert(std::make_pair(attr, e.primary_key)).second) {
           continue;
         }
         if (e.deleted) continue;
         if (!sink.WouldAdmit(e.seq)) continue;
         s = sink.Offer(Slice(e.primary_key), e.seq);
         if (!s.ok()) return s;
+      }
+      if (tombstone) {
+        // A whole-list tombstone shadows every pair of this secondary key
+        // in older buckets: recorded as the sentinel primary key "".
+        seen.emplace(attr, std::string());
       }
     }
     if (!it->status().ok()) return it->status();
@@ -226,17 +249,15 @@ Status LazyIndex::EnumeratePostings(const Slice& value,
   Status s = index_db_->GetFragments(
       ReadOptions(), value,
       [&](int /*rank*/, SequenceNumber /*fseq*/, bool frag_deleted,
-          const Slice& fragment) {
+          const std::vector<Slice>& versions) {
         if (frag_deleted) return false;  // Tombstone shadows older fragments
         std::vector<PostingEntry> entries;
-        if (PostingList::Parse(fragment, &entries)) {
-          PerfCounterAdd(&PerfContext::posting_entries_scanned,
-                         entries.size());
-          for (PostingEntry& e : entries) {
-            if (!seen.insert(e.primary_key).second) continue;
-            if (e.deleted) continue;
-            out->push_back({std::move(e.primary_key), e.seq});
-          }
+        ParseFragment(versions, &entries);
+        PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
+        for (PostingEntry& e : entries) {
+          if (!seen.insert(e.primary_key).second) continue;
+          if (e.deleted) continue;
+          out->push_back({std::move(e.primary_key), e.seq});
         }
         return true;
       });

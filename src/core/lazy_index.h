@@ -1,8 +1,9 @@
 // LazyIndex (paper Section 4.1.2): stand-alone index table with append-only
 // posting updates (Cassandra style). A PUT writes a one-entry fragment and
 // nothing else; fragments for the same secondary key scatter across levels
-// (at most one per memtable / L0 file / level thanks to the in-memory merge
-// and the compaction-time PostingListMerger) and are merged at query time.
+// and are merged at query time. There is at most one per L0 file and level
+// (the PostingListMerger runs at flush and compaction), and a memtable's
+// versions of a key read as one fragment.
 //
 // LOOKUP reads the fragments level by level, newest first, and can stop as
 // soon as the top-K heap fills — the property that makes Lazy the best

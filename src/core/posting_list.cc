@@ -1,7 +1,6 @@
 #include "core/posting_list.h"
 
 #include <algorithm>
-#include <set>
 
 #include "json/json.h"
 
@@ -28,8 +27,14 @@ void PostingList::Serialize(const std::vector<PostingEntry>& entries,
 }
 
 bool PostingList::Parse(const Slice& data, std::vector<PostingEntry>* out) {
-  using Type = json::Value::Type;
   out->clear();
+  return ParseAppend(data, out);
+}
+
+bool PostingList::ParseAppend(const Slice& data,
+                              std::vector<PostingEntry>* out) {
+  using Type = json::Value::Type;
+  const size_t old_size = out->size();
   // Each tuple decodes straight into its entry: the key string, the seq
   // number, an optional numeric deletion flag; further elements are
   // validated and ignored.
@@ -64,40 +69,60 @@ bool PostingList::Parse(const Slice& data, std::vector<PostingEntry>* out) {
   };
   if (scanner.PeekType() != Type::kArray ||
       !scanner.ParseArray(parse_entry) || !scanner.AtEnd()) {
-    out->clear();
+    out->resize(old_size);
     return false;
   }
   return true;
 }
 
+namespace {
+
+// Merge order: seq descending, ties by primary key.
+bool NewerFirst(const PostingEntry& a, const PostingEntry& b) {
+  if (a.seq != b.seq) return a.seq > b.seq;
+  return a.primary_key < b.primary_key;
+}
+
+}  // namespace
+
 void PostingList::Merge(
     const std::vector<std::vector<PostingEntry>>& fragments,
     bool drop_deletions, std::vector<PostingEntry>* out) {
   out->clear();
-  // Newest fragment first; within a fragment entries are seq-descending, so
-  // the FIRST occurrence of a primary key across the concatenation is its
-  // newest state... except entries within later fragments can interleave in
-  // seq with earlier fragments only if writes raced — with the engine's
-  // single-writer design fragment recency order is strict. We still do a
-  // full sort afterwards to keep the output canonical.
-  std::set<std::string> seen;
   for (const auto& fragment : fragments) {
-    for (const PostingEntry& e : fragment) {
-      if (seen.insert(e.primary_key).second) {
-        out->push_back(e);
-      }
-    }
+    out->insert(out->end(), fragment.begin(), fragment.end());
   }
-  std::sort(out->begin(), out->end(),
-            [](const PostingEntry& a, const PostingEntry& b) {
-              if (a.seq != b.seq) return a.seq > b.seq;
-              return a.primary_key < b.primary_key;
-            });
+  MergeInPlace(out, drop_deletions);
+}
+
+void PostingList::MergeInPlace(std::vector<PostingEntry>* entries,
+                               bool drop_deletions) {
+  // The FIRST occurrence of a primary key in the concatenation is its
+  // newest state. A stable sort by key keeps each key's occurrences in
+  // fragment order, so unique() keeps exactly that one. (With concurrent
+  // writers a later fragment may hold higher seqs than an earlier one, so
+  // the output order comes from a full sort, not from the fragments.)
+  std::stable_sort(entries->begin(), entries->end(),
+                   [](const PostingEntry& a, const PostingEntry& b) {
+                     return a.primary_key < b.primary_key;
+                   });
+  entries->erase(std::unique(entries->begin(), entries->end(),
+                             [](const PostingEntry& a, const PostingEntry& b) {
+                               return a.primary_key == b.primary_key;
+                             }),
+                 entries->end());
   if (drop_deletions) {
-    out->erase(std::remove_if(
-                   out->begin(), out->end(),
-                   [](const PostingEntry& e) { return e.deleted; }),
-               out->end());
+    entries->erase(std::remove_if(
+                       entries->begin(), entries->end(),
+                       [](const PostingEntry& e) { return e.deleted; }),
+                   entries->end());
+  }
+  std::sort(entries->begin(), entries->end(), NewerFirst);
+}
+
+void PostingList::MergeForRead(std::vector<PostingEntry>* entries) {
+  if (!std::is_sorted(entries->begin(), entries->end(), NewerFirst)) {
+    MergeInPlace(entries, /*drop_deletions=*/false);
   }
 }
 
@@ -105,19 +130,15 @@ bool PostingListMerger::Merge(const Slice& key,
                               const std::vector<Slice>& values_newest_first,
                               bool at_bottom, std::string* result) const {
   (void)key;
-  std::vector<std::vector<PostingEntry>> fragments;
-  fragments.reserve(values_newest_first.size());
+  std::vector<PostingEntry> merged;
   for (const Slice& v : values_newest_first) {
-    std::vector<PostingEntry> entries;
-    if (!PostingList::Parse(v, &entries)) {
+    if (!PostingList::ParseAppend(v, &merged)) {
       // Never drop data on a parse failure: keep the raw newest value.
       *result = values_newest_first[0].ToString();
       return true;
     }
-    fragments.push_back(std::move(entries));
   }
-  std::vector<PostingEntry> merged;
-  PostingList::Merge(fragments, /*drop_deletions=*/at_bottom, &merged);
+  PostingList::MergeInPlace(&merged, /*drop_deletions=*/at_bottom);
   if (merged.empty() && at_bottom) {
     return false;  // List fully deleted; drop the key.
   }

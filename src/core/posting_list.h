@@ -41,6 +41,10 @@ class PostingList {
   /// Parse a serialized list. Returns false on malformed input.
   static bool Parse(const Slice& data, std::vector<PostingEntry>* out);
 
+  /// Parse `data` and append its entries to *out. On malformed input *out
+  /// keeps only its earlier entries and false is returned.
+  static bool ParseAppend(const Slice& data, std::vector<PostingEntry>* out);
+
   /// Merge fragments (each internally seq-descending), newest fragment
   /// first, into one seq-descending list with one entry per primary key
   /// (the newest occurrence wins). When `drop_deletions` is true, deletion
@@ -48,10 +52,26 @@ class PostingList {
   /// can exist below).
   static void Merge(const std::vector<std::vector<PostingEntry>>& fragments,
                     bool drop_deletions, std::vector<PostingEntry>* out);
+
+  /// Merge in place: *entries holds the fragments concatenated newest
+  /// first, and ends up as Merge's output.
+  static void MergeInPlace(std::vector<PostingEntry>* entries,
+                           bool drop_deletions);
+
+  /// A reader's merge of one residence's fragment versions, concatenated
+  /// newest version first into *entries: puts them in merge order (seq
+  /// descending, ties by primary key) with each key's newest occurrence
+  /// first. A concatenation already in that order — one writer appends in
+  /// seq order — is left as it is and may repeat a key after its newest
+  /// occurrence; readers skip repeats, as they already do across
+  /// residences. Any other is merged in place (MergeInPlace), keeping
+  /// deletion markers.
+  static void MergeForRead(std::vector<PostingEntry>* entries);
 };
 
 /// ValueMerger installed on the Lazy index table's DB: merges posting-list
-/// fragments during compaction exactly as Cassandra's index compaction does.
+/// fragments at flush and compaction exactly as Cassandra's index
+/// compaction does.
 class PostingListMerger : public ValueMerger {
  public:
   const char* Name() const override { return "leveldbpp.PostingListMerger"; }

@@ -286,7 +286,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, VersionEdit* edit,
                          options_.attribute_extractor);
       mem->Ref();
     }
-    s = WriteBatchInternal::InsertInto(&batch, mem, options_.value_merger);
+    s = WriteBatchInternal::InsertInto(&batch, mem);
     if (!s.ok()) break;
     const SequenceNumber last_seq = WriteBatchInternal::Sequence(&batch) +
                                     WriteBatchInternal::Count(&batch) - 1;
@@ -354,11 +354,9 @@ Status DBImpl::Put(const WriteOptions& o, const Slice& key,
 
 Status DBImpl::Delete(const WriteOptions& o, const Slice& key) {
   if (options_.value_merger != nullptr) {
-    // Whole-key deletes cannot be combined with merge-on-collision
-    // semantics: a tombstone that later gets newer fragments merged above
-    // it would stop shadowing the pre-tombstone fragments in lower levels
-    // (fragment reads union ALL levels, and flush/GetFragments surface only
-    // the newest version per residence). The Lazy index deletes entries via
+    // Whole-key deletes are outside the merge contract (value_merger.h):
+    // fragment reads union every residence, so the merged values alone
+    // must define what is visible. The Lazy index deletes entries with
     // in-list deletion markers instead — so does any other client of a
     // merged table.
     return Status::NotSupported(
@@ -460,8 +458,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
         }
       }
       if (status.ok()) {
-        status = WriteBatchInternal::InsertInto(write_batch, mem,
-                                                options_.value_merger);
+        status = WriteBatchInternal::InsertInto(write_batch, mem);
       }
       mutex_.Lock();
       if (!status.ok()) {
@@ -1265,22 +1262,6 @@ Status DBImpl::BackgroundCompaction() {
   return status;
 }
 
-namespace {
-
-// Accumulates one "run" of consecutive entries sharing a user key (newest
-// first), then emits the compaction output for the run.
-struct RunState {
-  std::string user_key;
-  bool active = false;
-  // Values of the leading kTypeValue entries (newest first).
-  std::vector<std::string> values;
-  SequenceNumber newest_seq = 0;
-  bool saw_tombstone = false;
-  SequenceNumber tombstone_seq = 0;
-};
-
-}  // namespace
-
 Status DBImpl::DoCompactionWork(Compaction* c) {
   mutex_.AssertHeld();
   Statistics* stats = options_.statistics;
@@ -1378,46 +1359,12 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
     return s;
   };
 
-  // Emit the accumulated run's output entries (Lazy-index merger path
-  // only; the ordinary path drops per entry inside the loop below).
-  RunState run;
-  auto flush_run = [&]() -> Status {
-    if (!run.active) return Status::OK();
-    assert(merger != nullptr);
-    Status s;
-    const bool base = c->IsBaseLevelForKey(Slice(run.user_key));
-    // Lazy-index semantics: merge all fragments above the first
-    // tombstone; anything below a tombstone is dead.
-    if (!run.values.empty()) {
-      std::vector<Slice> vals;
-      vals.reserve(run.values.size());
-      for (const std::string& v : run.values) vals.emplace_back(v);
-      const bool at_bottom = base || run.saw_tombstone;
-      std::string merged;
-      if (merger->Merge(Slice(run.user_key), vals, at_bottom, &merged)) {
-        std::string ikey;
-        AppendInternalKey(&ikey, ParsedInternalKey(Slice(run.user_key),
-                                                   run.newest_seq,
-                                                   kTypeValue));
-        s = emit(Slice(ikey), Slice(merged));
-      }
-    }
-    if (s.ok() && run.saw_tombstone && !base) {
-      // The tombstone must survive above the base level EVEN IF a merged
-      // value was emitted: unlike plain LSM reads (which stop at the
-      // newest version), the Lazy index's read path UNIONS fragments from
-      // every level, so only the tombstone keeps the pre-tombstone
-      // fragments in lower levels shadowed. Its sequence number is lower
-      // than the merged value's, preserving internal-key order.
-      std::string ikey;
-      AppendInternalKey(&ikey, ParsedInternalKey(Slice(run.user_key),
-                                                 run.tombstone_seq,
-                                                 kTypeDeletion));
-      s = emit(Slice(ikey), Slice());
-    }
-    run = RunState();
-    return s;
-  };
+  // The Lazy-index merger path writes each key through the merge run that
+  // flush shares; the ordinary path drops per entry inside the loop below.
+  MergeRun run(
+      merger, ucmp,
+      [c](const Slice& user_key) { return c->IsBaseLevelForKey(user_key); },
+      emit);
 
   // Per-entry state for the ordinary (merger == nullptr) drop rule.
   std::string current_user_key;
@@ -1461,25 +1408,9 @@ Status DBImpl::DoCompactionWork(Compaction* c) {
       continue;
     }
 
-    if (!run.active || ucmp->Compare(ikey.user_key, Slice(run.user_key)) != 0) {
-      status = flush_run();
-      if (!status.ok()) break;
-      run.active = true;
-      run.user_key.assign(ikey.user_key.data(), ikey.user_key.size());
-      run.newest_seq = ikey.sequence;
-    }
-
-    if (run.saw_tombstone) {
-      continue;  // Everything below the first tombstone is invisible.
-    }
-    if (ikey.type == kTypeDeletion) {
-      run.saw_tombstone = true;
-      run.tombstone_seq = ikey.sequence;
-    } else {
-      run.values.emplace_back(input->value().data(), input->value().size());
-    }
+    status = run.Add(ikey, input->value());
   }
-  if (status.ok()) status = flush_run();
+  if (status.ok()) status = run.Finish();
   if (status.ok()) status = input->status();
   input.reset();
 
@@ -1782,17 +1713,21 @@ Status DBImpl::IsNewestVersion(const ReadView& view, const Slice& key,
       });
 }
 
-Status DBImpl::GetFragments(
-    const ReadOptions& options, const Slice& key,
-    const std::function<bool(int, SequenceNumber, bool, const Slice&)>& fn) {
+Status DBImpl::GetFragments(const ReadOptions& options, const Slice& key,
+                            const FragmentFn& fn) {
   ReadView view(this, options);
-  std::string value;
-  SequenceNumber seq;
-  bool deleted;
+  const std::vector<Slice> none;
+  MemTable::Versions versions;
   for (size_t rank = 0; rank < view.mems.size(); rank++) {
-    if (view.mems[rank]->GetNewest(key, &value, &seq, &deleted,
-                                   view.snapshot) &&
-        !fn(static_cast<int>(rank), seq, deleted, Slice(value))) {
+    if (!view.mems[rank]->GetVersions(key, view.snapshot, &versions)) {
+      continue;
+    }
+    const int r = static_cast<int>(rank);
+    if (!versions.values.empty() &&
+        !fn(r, versions.newest_seq, false, versions.values)) {
+      return Status::OK();
+    }
+    if (versions.tombstone && !fn(r, versions.tombstone_seq, true, none)) {
       return Status::OK();
     }
   }
@@ -1801,11 +1736,15 @@ Status DBImpl::GetFragments(
   const int disk_rank = std::max<int>(2, static_cast<int>(view.mems.size()));
   LookupKey lkey(key, view.snapshot);
   TablePins pins(table_cache_.get());
+  std::vector<Slice> one(1);
   return view.current->WalkResidences(
       options, lkey, view.current->NumLevels(), &pins, nullptr,
       [&](int level, KeyProbe& probe) {
-        return fn(disk_rank + level, probe.seq,
-                  probe.state == KeyProbe::kDeleted, Slice(probe.value));
+        if (probe.state == KeyProbe::kDeleted) {
+          return fn(disk_rank + level, probe.seq, true, none);
+        }
+        one[0] = Slice(probe.value);
+        return fn(disk_rank + level, probe.seq, false, one);
       });
 }
 
@@ -1877,11 +1816,7 @@ struct RecencyBuckets {
 
 RecencyBuckets MakeRecencyBuckets(Version* current) {
   RecencyBuckets out;
-  std::vector<FileMetaData*> l0 = current->files(0);
-  std::sort(l0.begin(), l0.end(), [](FileMetaData* a, FileMetaData* b) {
-    return a->number > b->number;
-  });
-  for (FileMetaData* f : l0) {
+  for (FileMetaData* f : current->level0_newest_first()) {
     out.buckets.push_back({{f, 0}});
   }
   for (int level = 1; level < current->NumLevels(); level++) {

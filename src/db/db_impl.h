@@ -24,7 +24,7 @@
 //   * GetWithMeta   — Get that also reports sequence number & level,
 //   * IsNewestVersion — the paper's GetLite: metadata-only check whether a
 //     (key, seq) record has been superseded,
-//   * GetFragments — every version of a key, newest residence first,
+//   * GetFragments — every fragment of a key, newest residence first,
 //   * NewLevelIterators — one internal-key iterator per recency bucket
 //     (memtable, each L0 file, each level), for level-by-level scans,
 //   * EmbeddedScanBuckets — the Embedded index's memtable attribute lookup
@@ -202,13 +202,20 @@ class DBImpl : public DB {
                          int record_level = INT32_MAX,
                          uint64_t record_file = 0);
 
-  /// Collect every visible fragment (version) of `key` from memtable,
-  /// immutable memtable, each L0 file and each level, newest first.
-  /// fn(recency_rank, seq, is_deletion, value); return false to stop early.
-  /// recency_rank increases with age (0 = memtable).
-  Status GetFragments(
-      const ReadOptions& options, const Slice& key,
-      const std::function<bool(int, SequenceNumber, bool, const Slice&)>& fn);
+  /// Visit every visible fragment of `key`, one per residence, newest
+  /// residence first: memtable, immutable memtables, each L0 file, each
+  /// level. fn(recency_rank, seq, is_deletion, versions) gets the
+  /// residence's versions of the key, newest first; recency_rank increases
+  /// with age (0 = memtable). A table holds one version per key. A
+  /// memtable holds one per write — a ValueMerger DB merges at flush, not
+  /// on insert — so fn merges them into the rank's one fragment. A
+  /// tombstone ends its residence's versions and reaches fn as a call of
+  /// its own, with is_deletion set and no versions. `seq` is the newest
+  /// version's. Return false from fn to stop early.
+  using FragmentFn = std::function<bool(int, SequenceNumber, bool,
+                                        const std::vector<Slice>&)>;
+  Status GetFragments(const ReadOptions& options, const Slice& key,
+                      const FragmentFn& fn);
 
   /// Internal-key iterators in recency order: memtable, immutable memtables
   /// (newest first), every L0 file (newest first), then one concatenated

@@ -175,6 +175,32 @@ bool MemTable::GetNewest(const Slice& user_key, std::string* value,
   return true;
 }
 
+bool MemTable::GetVersions(const Slice& user_key, SequenceNumber max_seq,
+                           Versions* out) {
+  out->values.clear();
+  out->tombstone = false;
+  LookupKey lkey(user_key, max_seq);
+  Table::Iterator iter(&table_);
+  for (iter.Seek(lkey.memtable_key().data()); iter.Valid(); iter.Next()) {
+    const char* entry = iter.key();
+    uint32_t key_length;
+    const char* key_ptr = GetVarint32Ptr(entry, entry + 5, &key_length);
+    if (comparator_.comparator.user_comparator()->Compare(
+            Slice(key_ptr, key_length - 8), user_key) != 0) {
+      break;
+    }
+    const uint64_t tag = DecodeFixed64(key_ptr + key_length - 8);
+    if (static_cast<ValueType>(tag & 0xff) == kTypeDeletion) {
+      out->tombstone = true;
+      out->tombstone_seq = tag >> 8;
+      break;
+    }
+    if (out->values.empty()) out->newest_seq = tag >> 8;
+    out->values.push_back(GetLengthPrefixedSliceAt(key_ptr + key_length));
+  }
+  return !out->values.empty() || out->tombstone;
+}
+
 void MemTable::SecondaryLookup(const std::string& attr, const Slice& lo,
                                const Slice& hi,
                                const SecondaryMatchFn& fn) const {

@@ -66,12 +66,28 @@ class MemTable {
   bool Get(const LookupKey& key, std::string* value, Status* s);
 
   /// Newest version of `user_key` with sequence <= max_seq, regardless of
-  /// type. Returns false if the memtable has no such entry. Used by the
-  /// Lazy index's memtable-local posting merge, by GetLite, and (with a
-  /// snapshot's sequence as the ceiling) by snapshot point reads.
+  /// type. Returns false if the memtable has no such entry. Used by point
+  /// reads and GetLite (with a snapshot's sequence as the ceiling).
   bool GetNewest(const Slice& user_key, std::string* value,
                  SequenceNumber* seq, bool* is_deletion,
                  SequenceNumber max_seq = kMaxSequenceNumber);
+
+  /// One memtable's history of a key: its versions visible at a sequence,
+  /// newest first, down to the first tombstone. The values point into the
+  /// memtable and stay valid while it is referenced.
+  struct Versions {
+    std::vector<Slice> values;      // The values above the first tombstone
+    SequenceNumber newest_seq = 0;  // values[0]'s sequence
+    bool tombstone = false;         // The history ends at a tombstone
+    SequenceNumber tombstone_seq = 0;
+  };
+
+  /// Fill *out with the versions of `user_key` with sequence <= max_seq,
+  /// from one skiplist seek. Returns false if the memtable has none. Used by
+  /// fragment reads (DBImpl::GetFragments): a ValueMerger DB's memtable
+  /// keeps one version per write, and its reader merges them.
+  bool GetVersions(const Slice& user_key, SequenceNumber max_seq,
+                   Versions* out);
 
   /// Match callback: (user key, sequence, record value).
   using SecondaryMatchFn =

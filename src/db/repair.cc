@@ -213,8 +213,7 @@ class Repairer {
         continue;
       }
       WriteBatchInternal::SetContents(&batch, record);
-      Status insert = WriteBatchInternal::InsertInto(&batch, mem,
-                                                     options_.value_merger);
+      Status insert = WriteBatchInternal::InsertInto(&batch, mem);
       if (insert.ok()) {
         const SequenceNumber last =
             WriteBatchInternal::Sequence(&batch) +

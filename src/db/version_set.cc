@@ -204,11 +204,7 @@ void Version::AddIterators(const ReadOptions& options,
                            std::vector<Iterator*>* iters) {
   // Merge all level zero files together since they may overlap; newest
   // (highest file number) first so ties resolve toward newer data.
-  std::vector<FileMetaData*> l0(files_[0]);
-  std::sort(l0.begin(), l0.end(), [](FileMetaData* a, FileMetaData* b) {
-    return a->number > b->number;
-  });
-  for (FileMetaData* f : l0) {
+  for (FileMetaData* f : level0_newest_first_) {
     iters->push_back(
         vset_->table_cache_->NewIterator(options, f->number, f->file_size));
   }
@@ -262,57 +258,49 @@ bool KeyProbe::Settles(bool paranoid, Status* s) const {
   return false;
 }
 
-void Version::FilesForKey(int level, const LookupKey& k,
-                          std::vector<FileMetaData*>* out) const {
-  out->clear();
-  const Comparator* ucmp = vset_->icmp_.user_comparator();
-  const Slice user_key = k.user_key();
-  const std::vector<FileMetaData*>& files = files_[level];
-  if (level == 0) {
-    // Level-0 files may overlap each other: every file whose range covers
-    // the key, newest first.
-    for (FileMetaData* f : files) {
-      if (ucmp->Compare(user_key, f->smallest.user_key()) >= 0 &&
-          ucmp->Compare(user_key, f->largest.user_key()) <= 0) {
-        out->push_back(f);
-      }
-    }
-    std::sort(out->begin(), out->end(), [](FileMetaData* a, FileMetaData* b) {
-      return a->number > b->number;
-    });
-    return;
-  }
-  // Binary search to find earliest file whose largest key >= ikey.
-  const size_t index = FindFile(vset_->icmp_, files, k.internal_key());
-  if (index < files.size() &&
-      ucmp->Compare(user_key, files[index]->smallest.user_key()) >= 0) {
-    out->push_back(files[index]);
-  }
-}
-
 Status Version::WalkResidences(
     const ReadOptions& options, const LookupKey& k, int end_level,
     TablePins* pins, const std::function<bool(int, FileMetaData*)>& skip,
     const std::function<bool(int, KeyProbe&)>& on_hit) {
   const Comparator* ucmp = vset_->icmp_.user_comparator();
   const bool paranoid = vset_->options_->paranoid_checks;
-  std::vector<FileMetaData*> files;
+  const Slice user_key = k.user_key();
+  // Probes one file; true once the walk is over, with its status in *s.
+  auto visit = [&](int level, FileMetaData* f, Status* s) {
+    if (skip && skip(level, f)) return false;
+    KeyProbe probe(ucmp, user_key);
+    Table* t = nullptr;
+    probe.io = pins->Find(f->number, f->file_size, &t);
+    if (probe.io.ok()) {
+      probe.io = t->InternalGet(options, k.internal_key(), pins->memo(),
+                                &probe, &KeyProbe::Save);
+    }
+    if (!probe.Settles(paranoid, s)) return false;
+    if (!probe.hit()) return true;
+    *s = Status::OK();
+    return !on_hit(level, probe);
+  };
+  Status s;
   end_level = std::min(end_level, NumLevels());
-  for (int level = 0; level < end_level; level++) {
-    FilesForKey(level, k, &files);
-    for (FileMetaData* f : files) {
-      if (skip && skip(level, f)) continue;
-      KeyProbe probe(ucmp, k.user_key());
-      Table* t = nullptr;
-      probe.io = pins->Find(f->number, f->file_size, &t);
-      if (probe.io.ok()) {
-        probe.io = t->InternalGet(options, k.internal_key(), pins->memo(),
-                                  &probe, &KeyProbe::Save);
+  if (end_level > 0) {
+    // Level-0 files may overlap each other: every file whose range covers
+    // the key, newest first.
+    for (FileMetaData* f : level0_newest_first_) {
+      if (ucmp->Compare(user_key, f->smallest.user_key()) >= 0 &&
+          ucmp->Compare(user_key, f->largest.user_key()) <= 0 &&
+          visit(0, f, &s)) {
+        return s;
       }
-      Status s;
-      if (!probe.Settles(paranoid, &s)) continue;
-      if (!probe.hit()) return s;
-      if (!on_hit(level, probe)) return Status::OK();
+    }
+  }
+  for (int level = 1; level < end_level; level++) {
+    // The earliest file whose largest key >= the key, if it covers it.
+    const std::vector<FileMetaData*>& files = files_[level];
+    const size_t index = FindFile(vset_->icmp_, files, k.internal_key());
+    if (index < files.size() &&
+        ucmp->Compare(user_key, files[index]->smallest.user_key()) >= 0 &&
+        visit(level, files[index], &s)) {
+      return s;
     }
   }
   return Status::OK();
@@ -482,6 +470,11 @@ class VersionSet::Builder {
         v->files_[level].push_back(f);
       }
     }
+    v->level0_newest_first_ = v->files_[0];
+    std::sort(v->level0_newest_first_.begin(), v->level0_newest_first_.end(),
+              [](FileMetaData* a, FileMetaData* b) {
+                return a->number > b->number;
+              });
   }
 
  private:

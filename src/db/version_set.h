@@ -99,11 +99,13 @@ class Version {
 
   /// The one residence walk behind every point read of this version:
   /// visits the files that may hold k's user key, newest residence first
-  /// (FilesForKey at level 0, 1, ..., end_level - 1), probes each through
-  /// `pins` (its tables, and its BlockMemo for the data block) into a
-  /// KeyProbe and settles it with KeyProbe::Settles. A hit (a
-  /// value or a deletion) goes to on_hit(level, probe), which returns false
-  /// to stop the walk; a settling error ends the walk and is returned.
+  /// (at level 0 every file whose range covers it, newest first; at each
+  /// level 1 .. end_level - 1 the one file FindFile lands on), probes each
+  /// through `pins` (its tables, and its BlockMemo for the data block) into
+  /// a KeyProbe and settles it with KeyProbe::Settles. A hit (a value or a
+  /// deletion) goes to on_hit(level, probe), which returns false to stop
+  /// the walk; a settling error ends the walk and is returned. The walk
+  /// allocates nothing.
   /// `skip(level, file)`, when given, is asked first and returning true
   /// passes over that file without probing it (GetLite's metadata-only
   /// filter, which reads the table through the same `pins`).
@@ -121,6 +123,12 @@ class Version {
 
   const std::vector<FileMetaData*>& files(int level) const {
     return files_[level];
+  }
+
+  /// The level-0 files newest first (descending file number): the order
+  /// every read visits them in.
+  const std::vector<FileMetaData*>& level0_newest_first() const {
+    return level0_newest_first_;
   }
 
   int NumLevels() const { return static_cast<int>(files_.size()); }
@@ -149,12 +157,6 @@ class Version {
   Version(const Version&) = delete;
   Version& operator=(const Version&) = delete;
 
-  /// Replace *out with the files at `level` that may hold k's user key,
-  /// newest first: every L0 file whose range covers it (descending file
-  /// number), or at a level >= 1 the single file FindFile lands on.
-  void FilesForKey(int level, const LookupKey& k,
-                   std::vector<FileMetaData*>* out) const;
-
   VersionSet* vset_;  // VersionSet to which this Version belongs
   Version* next_;     // Next version in linked list
   Version* prev_;     // Previous version in linked list
@@ -162,6 +164,8 @@ class Version {
 
   // List of files per level
   std::vector<std::vector<FileMetaData*>> files_;
+  // files_[0] newest first, set with files_ (Builder::SaveTo)
+  std::vector<FileMetaData*> level0_newest_first_;
 
   // Level that should be compacted next and its score (>= 1 means
   // compaction needed). Computed by VersionSet::Finalize().

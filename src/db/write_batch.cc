@@ -11,11 +11,8 @@
 
 #include "db/write_batch.h"
 
-#include <vector>
-
 #include "db/dbformat.h"
 #include "db/memtable.h"
-#include "db/value_merger.h"
 #include "util/coding.h"
 
 namespace leveldbpp {
@@ -107,27 +104,8 @@ class MemTableInserter : public WriteBatch::Handler {
  public:
   SequenceNumber sequence_;
   MemTable* mem_;
-  const ValueMerger* merger_ = nullptr;
 
   void Put(const Slice& key, const Slice& value) override {
-    if (merger_ != nullptr) {
-      std::string existing;
-      SequenceNumber seq;
-      bool deleted;
-      if (mem_->GetNewest(key, &existing, &seq, &deleted) && !deleted) {
-        std::string merged;
-        std::vector<Slice> vals = {value, Slice(existing)};
-        if (merger_->Merge(key, vals, /*at_bottom=*/false, &merged)) {
-          mem_->Add(sequence_, kTypeValue, key, Slice(merged));
-        } else {
-          // Merge produced an empty result; record a tombstone so older
-          // on-disk fragments stay shadowed.
-          mem_->Add(sequence_, kTypeDeletion, key, Slice());
-        }
-        sequence_++;
-        return;
-      }
-    }
     mem_->Add(sequence_, kTypeValue, key, value);
     sequence_++;
   }
@@ -138,12 +116,11 @@ class MemTableInserter : public WriteBatch::Handler {
 };
 }  // namespace
 
-Status WriteBatchInternal::InsertInto(const WriteBatch* b, MemTable* memtable,
-                                      const ValueMerger* merger) {
+Status WriteBatchInternal::InsertInto(const WriteBatch* b,
+                                      MemTable* memtable) {
   MemTableInserter inserter;
   inserter.sequence_ = WriteBatchInternal::Sequence(b);
   inserter.mem_ = memtable;
-  inserter.merger_ = merger;
   return b->Iterate(&inserter);
 }
 

@@ -12,7 +12,6 @@
 namespace leveldbpp {
 
 class MemTable;
-class ValueMerger;
 
 class WriteBatch {
  public:
@@ -60,13 +59,11 @@ class WriteBatchInternal {
   static size_t ByteSize(const WriteBatch* batch) { return batch->rep_.size(); }
   static void SetContents(WriteBatch* batch, const Slice& contents);
   /// Replay the batch into a memtable, assigning consecutive sequence
-  /// numbers starting at Sequence(batch). When `merger` is non-null, each
-  /// Put is first merged with the memtable's current newest version of the
-  /// key (the Lazy index's in-memory posting merge: no disk read, and at
-  /// most one fragment per memtable). Deterministic, so WAL replay through
-  /// the same path reproduces the exact memtable state.
-  static Status InsertInto(const WriteBatch* batch, MemTable* memtable,
-                           const ValueMerger* merger = nullptr);
+  /// numbers starting at Sequence(batch). Every record becomes its own
+  /// version, in a ValueMerger DB too: its fragments merge at flush,
+  /// compaction and read (value_merger.h), never on insert. So WAL replay
+  /// reproduces the exact memtable state.
+  static Status InsertInto(const WriteBatch* batch, MemTable* memtable);
   static void Append(WriteBatch* dst, const WriteBatch* src);
 };
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -13,6 +14,7 @@
 
 #include "core/document.h"
 #include "core/secondary_db.h"
+#include "core/standalone_index.h"
 #include "db/db_impl.h"
 #include "env/env.h"
 #include "env/statistics.h"
@@ -296,6 +298,110 @@ TEST(EmbeddedConcurrencyTest, LookupReturnsEachKeyOnceDuringOverwrites) {
     EXPECT_EQ("", repeated) << "p=" << parallelism << ": returned twice";
     EXPECT_EQ(static_cast<size_t>(kKeys), distinct) << "p=" << parallelism;
     EXPECT_EQ(failures.load(), 0);
+  }
+}
+
+// Lazy LOOKUP / RANGELOOKUP after 4 writers on one hot value, with
+// background flushes and a deep immutable-memtable queue, match a twin
+// built single-threaded from the same final records in primary-sequence
+// order. Concurrent writers land index postings in an order that is not
+// primary-sequence order, so a memtable's versions of the hot value must be
+// merged and sorted at read time, and flush must merge them the same way.
+TEST(LazyConcurrencyTest, HotValueMatchesSingleThreadedTwin) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  auto open = [&](bool concurrent, const std::string& path,
+                  std::unique_ptr<SecondaryDB>* db) {
+    SecondaryDBOptions options;
+    options.base.env = env.get();
+    options.base.write_buffer_size = 64 << 10;
+    options.base.max_file_size = 32 << 10;
+    options.base.background_compaction = concurrent;
+    options.base.max_immutable_memtables = concurrent ? 4 : 1;
+    options.index_type = IndexType::kLazy;
+    options.indexed_attributes = {"UserID", "CreationTime"};
+    ASSERT_TRUE(SecondaryDB::Open(options, path, db).ok());
+  };
+  auto doc = [](const std::string& user, int time) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%06d", time);
+    return "{\"CreationTime\":\"" + std::string(buf) + "\",\"UserID\":\"" +
+           user + "\"}";
+  };
+
+  std::unique_ptr<SecondaryDB> db;
+  open(true, "/lazy_conc", &db);
+  constexpr int kWriters = 4;
+  constexpr int kKeys = 150;  // Per writer
+  constexpr int kOps = 1500;  // Per writer
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; w++) {
+    writers.emplace_back([&, w]() {
+      for (int i = 0; i < kOps; i++) {
+        const std::string key = Key(w, i % kKeys);
+        // Mostly the hot value; some records move to a cold one and back,
+        // and some are deleted (Lazy deletion markers).
+        Status s = i % 11 == 10
+                       ? db->Delete(key)
+                       : db->Put(key, doc(i % 5 == 0 ? "cold" : "hot",
+                                          i * kWriters + w));
+        if (!s.ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  ASSERT_EQ(0, failures.load());
+  auto* hot_index = dynamic_cast<StandAloneIndex*>(db->index("UserID"));
+  ASSERT_NE(nullptr, hot_index);
+  ASSERT_TRUE(hot_index->index_db()->WaitForBackgroundWork().ok());
+  ASSERT_GT(hot_index->index_statistics()->Get(kFlushCount), 1u);
+
+  // The twin: every live record, written once in primary-sequence order.
+  std::vector<std::pair<SequenceNumber, std::pair<std::string, std::string>>>
+      records;
+  {
+    std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      std::string value;
+      DBImpl::RecordLocation loc;
+      ASSERT_TRUE(
+          db->primary()->GetWithMeta(ReadOptions(), it->key(), &value, &loc)
+              .ok());
+      records.push_back({loc.seq, {it->key().ToString(), value}});
+    }
+    ASSERT_TRUE(it->status().ok());
+  }
+  std::sort(records.begin(), records.end());
+  std::unique_ptr<SecondaryDB> twin;
+  open(false, "/lazy_twin", &twin);
+  for (const auto& [seq, kv] : records) {
+    ASSERT_TRUE(twin->Put(kv.first, kv.second).ok());
+  }
+
+  // Sequence numbers differ between the two stores; keys, order and
+  // records must not.
+  auto rows = [](SecondaryDB* store, bool range, size_t k) {
+    std::vector<QueryResult> results;
+    Status s = range ? store->RangeLookup("CreationTime", "005500", "005900",
+                                          k, &results)
+                     : store->Lookup("UserID", "hot", k, &results);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    std::vector<std::string> out;
+    for (const QueryResult& r : results) {
+      out.push_back(r.primary_key + "=" + r.value);
+    }
+    return out;
+  };
+  for (bool range : {false, true}) {
+    for (size_t k : {size_t{0}, range ? size_t{50} : size_t{5}}) {
+      const std::vector<std::string> want = rows(twin.get(), range, k);
+      EXPECT_FALSE(want.empty());
+      EXPECT_EQ(want, rows(db.get(), range, k))
+          << (range ? "RANGELOOKUP" : "LOOKUP") << " K=" << k;
+    }
   }
 }
 

@@ -341,8 +341,10 @@ TEST_F(DBTest, GetFragmentsSeesAllVersionsAcrossLevels) {
   std::vector<std::string> values;
   ASSERT_TRUE(db_->GetFragments(ReadOptions(), "frag",
                                 [&](int, SequenceNumber, bool deleted,
-                                    const Slice& v) {
-                                  if (!deleted) values.push_back(v.ToString());
+                                    const std::vector<Slice>& versions) {
+                                  if (!deleted) {
+                                    values.push_back(versions[0].ToString());
+                                  }
                                   return true;
                                 })
                   .ok());

@@ -229,12 +229,168 @@ TEST_F(VariantTest, LazyWritesAreFragmentsNotLists) {
   }
   // All fragments still fit in the memtable: zero index-table block reads.
   EXPECT_EQ(0u, lazy->index_statistics()->Get(kBlockRead));
-  // And the memtable-merged fragment holds all 100 entries.
-  std::string list;
-  ASSERT_TRUE(lazy->index_db()->Get(ReadOptions(), "u1", &list).ok());
+  // The memtable keeps the 100 one-entry fragments as they were written,
+  // and a fragment read shows them as one 100-entry fragment.
+  int fragments = 0;
   std::vector<PostingEntry> entries;
-  ASSERT_TRUE(PostingList::Parse(Slice(list), &entries));
-  EXPECT_EQ(100u, entries.size());
+  ASSERT_TRUE(lazy->index_db()
+                  ->GetFragments(ReadOptions(), "u1",
+                                 [&](int rank, SequenceNumber, bool deleted,
+                                     const std::vector<Slice>& versions) {
+                                   fragments++;
+                                   EXPECT_EQ(0, rank);
+                                   EXPECT_FALSE(deleted);
+                                   EXPECT_EQ(100u, versions.size());
+                                   for (const Slice& v : versions) {
+                                     EXPECT_TRUE(
+                                         PostingList::ParseAppend(v, &entries));
+                                   }
+                                   PostingList::MergeForRead(&entries);
+                                   return true;
+                                 })
+                  .ok());
+  EXPECT_EQ(1, fragments);
+  ASSERT_EQ(100u, entries.size());
+  for (size_t i = 1; i < entries.size(); i++) {
+    EXPECT_GT(entries[i - 1].seq, entries[i].seq);  // Newest first
+  }
+}
+
+TEST_F(VariantTest, LazyMemtableGrowsLinearlyWithPostings) {
+  // A Lazy PUT appends one small version to the index memtable. Merging on
+  // insert instead re-inserted the value's whole list per PUT, so a hot
+  // value's memtable grew with the square of its postings.
+  SecondaryDBOptions options;
+  options.base.env = env_.get();
+  options.base.write_buffer_size = 8 << 20;  // Nothing flushes
+  options.index_type = IndexType::kLazy;
+  options.indexed_attributes = {"UserID"};
+  std::unique_ptr<SecondaryDB> db;
+  ASSERT_TRUE(SecondaryDB::Open(options, "/vt_linear", &db).ok());
+  auto* lazy = dynamic_cast<StandAloneIndex*>(db->index("UserID"));
+  ASSERT_NE(nullptr, lazy);
+  auto memtable_bytes = [&]() {
+    std::string bytes;
+    EXPECT_TRUE(lazy->index_db()->GetProperty(
+        "leveldbpp.approximate-memory-usage", &bytes));
+    return std::stoull(bytes);
+  };
+
+  const uint64_t empty = memtable_bytes();
+  for (int i = 0; i < 1000; i++) {
+    ASSERT_TRUE(db->Put("t" + std::to_string(i), Doc("hot")).ok());
+  }
+  const uint64_t first_half = memtable_bytes() - empty;
+  for (int i = 1000; i < 2000; i++) {
+    ASSERT_TRUE(db->Put("t" + std::to_string(i), Doc("hot")).ok());
+  }
+  const uint64_t second_half = memtable_bytes() - empty - first_half;
+
+  EXPECT_EQ(0u, lazy->index_statistics()->Get(kFlushCount));
+  // About 50 bytes per posting; the list re-inserted per PUT averaged
+  // ~15 KB per posting here.
+  EXPECT_LT(first_half + second_half, 2000u * 128);
+  // The second thousand postings cost what the first did (arena blocks
+  // round each half up by at most one block).
+  EXPECT_LE(second_half, first_half + (8u << 10));
+}
+
+TEST_F(VariantTest, LazyFlushWritesOneFragmentPerKey) {
+  // Flush (and recovery's WAL-to-table flush) merges each key's memtable
+  // versions into one fragment per table, and LOOKUP / RANGELOOKUP answer
+  // the same from the memtable, from the flushed table and after a reopen
+  // that replays the WAL.
+  SecondaryDBOptions options;
+  options.base.env = env_.get();
+  options.base.write_buffer_size = 8 << 20;  // Only forced flushes
+  options.index_type = IndexType::kLazy;
+  options.indexed_attributes = {"UserID", "CreationTime"};
+  const std::string path = "/vt_flush";
+  std::unique_ptr<SecondaryDB> db;
+  ASSERT_TRUE(SecondaryDB::Open(options, path, &db).ok());
+
+  // Three users; updates move records between users and times, and
+  // deletes leave deletion markers.
+  int ts = 0;
+  auto write_round = [&](int round) {
+    for (int i = 0; i < 60; i++) {
+      const std::string key = "t" + std::to_string(i % 40);
+      const std::string user = "u" + std::to_string((i + round) % 3);
+      ASSERT_TRUE(db->Put(key, Doc(user, ++ts)).ok());
+      if (i % 9 == 4) {
+        ASSERT_TRUE(db->Delete("t" + std::to_string((i * 7) % 40)).ok());
+      }
+    }
+  };
+  auto answers = [&]() {
+    std::string out;
+    std::vector<QueryResult> results;
+    auto append = [&](const std::vector<QueryResult>& rs) {
+      for (const QueryResult& r : rs) {
+        out += r.primary_key + "@" + std::to_string(r.seq) + "=" + r.value +
+               ";";
+      }
+      out += "\n";
+    };
+    for (const char* user : {"u0", "u1", "u2"}) {
+      for (size_t k : {size_t{0}, size_t{5}}) {
+        EXPECT_TRUE(db->Lookup("UserID", user, k, &results).ok());
+        append(results);
+      }
+    }
+    for (size_t k : {size_t{0}, size_t{5}, size_t{50}}) {
+      EXPECT_TRUE(db->RangeLookup("CreationTime", Ctime(20), Ctime(150), k,
+                                  &results)
+                      .ok());
+      append(results);
+    }
+    return out;
+  };
+  // Every table of both index DBs holds each key once.
+  auto expect_one_entry_per_key = [&]() {
+    for (const char* attr : {"UserID", "CreationTime"}) {
+      auto* lazy = dynamic_cast<StandAloneIndex*>(db->index(attr));
+      ASSERT_NE(nullptr, lazy);
+      DBImpl::LevelIterators levels;
+      ASSERT_TRUE(lazy->index_db()->NewLevelIterators(ReadOptions(), &levels)
+                      .ok());
+      ASSERT_GT(levels.iters.size(), levels.first_disk) << attr;
+      for (size_t i = levels.first_disk; i < levels.iters.size(); i++) {
+        Iterator* it = levels.iters[i];
+        std::string prev;
+        int entries = 0;
+        for (it->SeekToFirst(); it->Valid(); it->Next()) {
+          const std::string user_key = ExtractUserKey(it->key()).ToString();
+          EXPECT_NE(prev, user_key) << attr << " key repeats in a table";
+          prev = user_key;
+          entries++;
+        }
+        EXPECT_GT(entries, 0);
+      }
+    }
+  };
+  auto flush_indexes = [&]() {
+    for (const char* attr : {"UserID", "CreationTime"}) {
+      auto* lazy = dynamic_cast<StandAloneIndex*>(db->index(attr));
+      ASSERT_TRUE(lazy->index_db()->Write(WriteOptions(), nullptr).ok());
+    }
+  };
+
+  write_round(0);
+  const std::string in_memtable = answers();
+  flush_indexes();
+  expect_one_entry_per_key();
+  EXPECT_EQ(in_memtable, answers());
+
+  // A second round lands in the memtable above the flushed tables; the
+  // reopen replays it from the WAL into tables of its own.
+  write_round(1);
+  const std::string before_reopen = answers();
+  EXPECT_NE(in_memtable, before_reopen);
+  db.reset();
+  ASSERT_TRUE(SecondaryDB::Open(options, path, &db).ok());
+  expect_one_entry_per_key();
+  EXPECT_EQ(before_reopen, answers());
 }
 
 TEST_F(VariantTest, EagerReadsOnEveryWrite) {

@@ -84,7 +84,7 @@ TEST_F(LevelIteratorsTest, GetFragmentsNewestFirstAndStoppable) {
   std::vector<SequenceNumber> seqs;
   ASSERT_TRUE(db_->GetFragments(ReadOptions(), "frag",
                                 [&](int, SequenceNumber seq, bool,
-                                    const Slice&) {
+                                    const std::vector<Slice>&) {
                                   seqs.push_back(seq);
                                   return true;
                                 })
@@ -97,7 +97,8 @@ TEST_F(LevelIteratorsTest, GetFragmentsNewestFirstAndStoppable) {
   // Early termination: returning false stops the walk.
   int calls = 0;
   ASSERT_TRUE(db_->GetFragments(ReadOptions(), "frag",
-                                [&](int, SequenceNumber, bool, const Slice&) {
+                                [&](int, SequenceNumber, bool,
+                                    const std::vector<Slice>&) {
                                   calls++;
                                   return false;
                                 })
@@ -113,7 +114,7 @@ TEST_F(LevelIteratorsTest, GetFragmentsReportsTombstones) {
   std::vector<bool> deletions;
   ASSERT_TRUE(db_->GetFragments(ReadOptions(), "dead",
                                 [&](int, SequenceNumber, bool deleted,
-                                    const Slice&) {
+                                    const std::vector<Slice>&) {
                                   deletions.push_back(deleted);
                                   return true;
                                 })

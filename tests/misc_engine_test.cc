@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/posting_list.h"
+#include "db/builder.h"
 #include "db/db_impl.h"
 #include "db/write_batch.h"
 #include "env/env.h"
@@ -131,8 +132,9 @@ TEST(OptionsSanitization, ExtremeValuesClamped) {
 }
 
 TEST(MergerTombstone, PutAfterDeleteInMemtableDoesNotResurrect) {
-  // With a ValueMerger installed, a Put after a whole-key Delete must not
-  // merge with pre-tombstone fragments.
+  // A Put after a whole-key Delete must not merge with pre-tombstone
+  // fragments: neither in a read of the memtable's versions nor in the
+  // merge a flush writes.
   InternalKeyComparator icmp(BytewiseComparator());
   MemTable* mem = new MemTable(icmp);
   mem->Ref();
@@ -141,34 +143,48 @@ TEST(MergerTombstone, PutAfterDeleteInMemtableDoesNotResurrect) {
   PostingList::Serialize({{"t1", 1, false}}, &frag_a);
   PostingList::Serialize({{"t2", 5, false}}, &frag_b);
 
-  WriteBatch b1;
-  b1.Put("u", frag_a);
-  WriteBatchInternal::SetSequence(&b1, 1);
-  ASSERT_TRUE(WriteBatchInternal::InsertInto(&b1, mem,
-                                             PostingListMerger::Instance())
-                  .ok());
-  WriteBatch b2;
-  b2.Delete("u");
-  WriteBatchInternal::SetSequence(&b2, 2);
-  ASSERT_TRUE(WriteBatchInternal::InsertInto(&b2, mem,
-                                             PostingListMerger::Instance())
-                  .ok());
-  WriteBatch b3;
-  b3.Put("u", frag_b);
-  WriteBatchInternal::SetSequence(&b3, 3);
-  ASSERT_TRUE(WriteBatchInternal::InsertInto(&b3, mem,
-                                             PostingListMerger::Instance())
-                  .ok());
+  WriteBatch batch;
+  batch.Put("u", frag_a);
+  batch.Delete("u");
+  batch.Put("u", frag_b);
+  WriteBatchInternal::SetSequence(&batch, 1);
+  ASSERT_TRUE(WriteBatchInternal::InsertInto(&batch, mem).ok());
 
-  std::string value;
-  SequenceNumber seq;
-  bool deleted;
-  ASSERT_TRUE(mem->GetNewest("u", &value, &seq, &deleted));
-  ASSERT_FALSE(deleted);
+  MemTable::Versions versions;
+  ASSERT_TRUE(mem->GetVersions("u", kMaxSequenceNumber, &versions));
+  ASSERT_EQ(1u, versions.values.size());
+  EXPECT_EQ(frag_b, versions.values[0].ToString()) << "t1 must stay deleted";
+  EXPECT_EQ(3u, versions.newest_seq);
+  EXPECT_TRUE(versions.tombstone);
+  EXPECT_EQ(2u, versions.tombstone_seq);
+
+  std::vector<std::pair<std::string, std::string>> out;
+  MergeRun run(PostingListMerger::Instance(), BytewiseComparator(), nullptr,
+               [&](const Slice& ikey, const Slice& value) {
+                 out.emplace_back(ikey.ToString(), value.ToString());
+                 return Status::OK();
+               });
+  std::unique_ptr<Iterator> it(mem->NewIterator());
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    ParsedInternalKey ikey;
+    ASSERT_TRUE(ParseInternalKey(it->key(), &ikey));
+    ASSERT_TRUE(run.Add(ikey, it->value()).ok());
+  }
+  ASSERT_TRUE(run.Finish().ok());
+  // The merged value at the newest sequence, then the tombstone that keeps
+  // older residences shadowed.
+  ASSERT_EQ(2u, out.size());
+  ParsedInternalKey value_key, tombstone_key;
+  ASSERT_TRUE(ParseInternalKey(out[0].first, &value_key));
+  EXPECT_EQ(3u, value_key.sequence);
+  EXPECT_EQ(kTypeValue, value_key.type);
   std::vector<PostingEntry> entries;
-  ASSERT_TRUE(PostingList::Parse(Slice(value), &entries));
+  ASSERT_TRUE(PostingList::Parse(Slice(out[0].second), &entries));
   ASSERT_EQ(1u, entries.size());
   EXPECT_EQ("t2", entries[0].primary_key) << "t1 must stay deleted";
+  ASSERT_TRUE(ParseInternalKey(out[1].first, &tombstone_key));
+  EXPECT_EQ(2u, tombstone_key.sequence);
+  EXPECT_EQ(kTypeDeletion, tombstone_key.type);
   mem->Unref();
 }
 

@@ -347,7 +347,8 @@ TEST_F(MultiGetTest, UnparseableKeyMatchesGet) {
     CheckMultiGetMatchesGet(batch, no_checksums);
     // Lazy's fragment walk settles the key by the same rule.
     EXPECT_TRUE(db_->GetFragments(no_checksums, forged,
-                                  [](int, SequenceNumber, bool, const Slice&) {
+                                  [](int, SequenceNumber, bool,
+                                     const std::vector<Slice>&) {
                                     return true;
                                   })
                     .IsCorruption());
@@ -637,10 +638,11 @@ TEST(ImmQueueReadTest, ReadsWalkEveryQueuedMemTable) {
     std::vector<std::string> frags;
     ASSERT_TRUE(db->GetFragments(ReadOptions(), "frag",
                                  [&](int rank, SequenceNumber seq, bool,
-                                     const Slice& v) {
+                                     const std::vector<Slice>& versions) {
+                                   EXPECT_EQ(1u, versions.size());
                                    ranks.push_back(rank);
                                    seqs.push_back(seq);
-                                   frags.push_back(v.ToString());
+                                   frags.push_back(versions[0].ToString());
                                    return true;
                                  })
                     .ok());

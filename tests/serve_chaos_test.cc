@@ -399,9 +399,12 @@ TEST(ServeChaosTest, AutoResumeHealsTransientBgError) {
 
   // Fail every Sync on shard 0: foreground appends stay buffered (writes
   // keep acknowledging), but the next background flush dies at the table
-  // Sync and records a sticky error.
+  // Sync and records a sticky error. Write to shard 0 until one of its
+  // memtables fills and that flush fails (bounded: a few thousand small
+  // documents fill the smallest write buffer many times over).
   fx.fault_envs[0]->FailAfter(0, FaultInjectionEnv::kOpSync);
-  for (int i = 100; i < 300; i++) {
+  for (int i = 100; i < 10000 && !fx.db->ShardHealth()[0].has_bg_error;
+       i++) {
     Status s = client->Put(fx.KeyFor(0, i), Doc("heal", i));
     if (!s.ok()) break;  // ladder/bg-error reached; enough traffic sent
   }

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/posting_list.h"
+#include "db/db_impl.h"
 #include "db/dbformat.h"
 #include "db/memtable.h"
+#include "env/env.h"
 
 namespace leveldbpp {
 
@@ -129,40 +133,63 @@ TEST(WriteBatchTest, ApproximateSize) {
 }
 
 TEST(WriteBatchTest, MergerCombinesMemtableFragments) {
-  // The Lazy-index memtable merge: two Puts of posting fragments under the
-  // same key end up with the NEWEST memtable version being the merged list.
-  InternalKeyComparator cmp(BytewiseComparator());
-  MemTable* mem = new MemTable(cmp);
-  mem->Ref();
+  // A Lazy-index memtable keeps one version per Put: the insert never
+  // merges. GetFragments hands a memtable's versions over together, and a
+  // flush writes them as one merged fragment.
+  std::unique_ptr<Env> env(NewMemEnv());
+  Options options;
+  options.env = env.get();
+  options.value_merger = PostingListMerger::Instance();
+  DBImpl* raw = nullptr;
+  ASSERT_TRUE(DBImpl::Open(options, "/mergedb", &raw).ok());
+  std::unique_ptr<DBImpl> db(raw);
 
   std::string frag1, frag2;
   PostingList::Serialize({{"t1", 1, false}}, &frag1);
   PostingList::Serialize({{"t2", 2, false}}, &frag2);
+  ASSERT_TRUE(db->Put(WriteOptions(), "u1", frag1).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "u1", frag2).ok());
 
-  WriteBatch b1;
-  b1.Put("u1", frag1);
-  WriteBatchInternal::SetSequence(&b1, 1);
-  ASSERT_TRUE(WriteBatchInternal::InsertInto(&b1, mem,
-                                             PostingListMerger::Instance())
-                  .ok());
-  WriteBatch b2;
-  b2.Put("u1", frag2);
-  WriteBatchInternal::SetSequence(&b2, 2);
-  ASSERT_TRUE(WriteBatchInternal::InsertInto(&b2, mem,
-                                             PostingListMerger::Instance())
-                  .ok());
+  struct Fragment {
+    int rank;
+    SequenceNumber seq;
+    std::vector<std::string> versions;
+  };
+  auto fragments = [&]() {
+    std::vector<Fragment> out;
+    EXPECT_TRUE(db->GetFragments(ReadOptions(), "u1",
+                                 [&](int rank, SequenceNumber seq, bool,
+                                     const std::vector<Slice>& versions) {
+                                   out.push_back({rank, seq, {}});
+                                   for (const Slice& v : versions) {
+                                     out.back().versions.push_back(
+                                         v.ToString());
+                                   }
+                                   return true;
+                                 })
+                    .ok());
+    return out;
+  };
 
-  std::string value;
-  SequenceNumber seq;
-  bool deleted;
-  ASSERT_TRUE(mem->GetNewest("u1", &value, &seq, &deleted));
-  EXPECT_FALSE(deleted);
+  // The memtable: two versions, newest first, as written.
+  std::vector<Fragment> frags = fragments();
+  ASSERT_EQ(1u, frags.size());
+  EXPECT_EQ(0, frags[0].rank);
+  EXPECT_EQ(2u, frags[0].seq);
+  EXPECT_EQ((std::vector<std::string>{frag2, frag1}), frags[0].versions);
+
+  // After a flush: one L0 table holding one merged fragment.
+  ASSERT_TRUE(db->Write(WriteOptions(), nullptr).ok());
+  frags = fragments();
+  ASSERT_EQ(1u, frags.size());
+  EXPECT_GT(frags[0].rank, 0);
+  EXPECT_EQ(2u, frags[0].seq);  // The newest version's sequence
+  ASSERT_EQ(1u, frags[0].versions.size());
   std::vector<PostingEntry> merged;
-  ASSERT_TRUE(PostingList::Parse(Slice(value), &merged));
+  ASSERT_TRUE(PostingList::Parse(Slice(frags[0].versions[0]), &merged));
   ASSERT_EQ(2u, merged.size());
   EXPECT_EQ("t2", merged[0].primary_key);  // Newest first
   EXPECT_EQ("t1", merged[1].primary_key);
-  mem->Unref();
 }
 
 }  // namespace leveldbpp
