@@ -29,8 +29,11 @@ cd "$(dirname "$0")/.."
 # runs. And the Lazy index's append-only memtable (LazyConcurrency*,
 # LazyMemtableGrowsLinearly*, LazyFlushWritesOneFragmentPerKey*): reads
 # and flushes merge a memtable's versions of a key, held as slices into its
-# arena, while writers append more.
-SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList|NewestFirst|ShardedDBTest.ParallelReadsMatchUnsharded|ThreadPool|BlockMemo|PointSeek|ReusedBuffer|LazyConcurrency|LazyMemtableGrowsLinearly|LazyFlushWritesOneFragmentPerKey"
+# arena, while writers append more. And the candidate loop's bookkeeping
+# (KeySet*, TopK*): the key set addresses keys by offset into one growing
+# arena, and the top-K collector moves records between slots by index.
+# And the recovery flush's drop rule (RecoveryFlushKeepsOneVersionPerKey).
+SAN_FILTER="-R Concurrency|MultiGet|ParallelQuery|ImmQueueRead|Crc32c|SimpleLZ|Json|JsonAttributeExtractor|PostingList|NewestFirst|ShardedDBTest.ParallelReadsMatchUnsharded|ThreadPool|BlockMemo|PointSeek|ReusedBuffer|LazyConcurrency|LazyMemtableGrowsLinearly|LazyFlushWritesOneFragmentPerKey|KeySet|TopK|RecoveryFlushKeepsOneVersionPerKey"
 if [[ "${1:-}" == "--sanitize-all" || "${1:-}" == "--tsan-all" ]]; then
   SAN_FILTER=""
 fi

@@ -46,9 +46,13 @@ bool CandidateSink::Matches(const Slice& record) const {
 
 Status CandidateSink::Offer(const Slice& primary_key,
                             SequenceNumber stored_seq) {
-  std::string key = primary_key.ToString();
-  if (!seen_.insert(key).second) return Status::OK();
-  pending_.push_back(std::move(key));
+  if (!seen_.Insert(primary_key)) return Status::OK();
+  return OfferDistinct(primary_key, stored_seq);
+}
+
+Status CandidateSink::OfferDistinct(const Slice& primary_key,
+                                    SequenceNumber stored_seq) {
+  pending_.emplace_back(primary_key.data(), primary_key.size());
   pending_seqs_.push_back(stored_seq);
   return pending_.size() >= chunk_ ? Flush() : Status::OK();
 }

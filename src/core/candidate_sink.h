@@ -6,7 +6,11 @@
 // through WouldAdmit / Full / stale_admitted, and Offers each surviving
 // (primary key, stored seq). The sink owns everything after that:
 //
-//   * the per-primary-key seen-set (a key is validated at most once);
+//   * the per-primary-key seen-set (a key is validated at most once): one
+//     flat KeySet per query, whose inserts copy the key into an arena and
+//     allocate no node. A caller that already dedupes (Lazy LOOKUP's
+//     shadowing set holds every posting it reads) uses OfferDistinct, so
+//     each posting is hashed once;
 //   * resolution against the primary table, through one ReadView and one
 //     TablePins the sink holds for the whole query: with read_parallelism
 //     <= 1 each candidate is one GetWithMeta as soon as it is offered (the
@@ -16,7 +20,8 @@
 //     primary block once when consecutive candidates land in it, so the
 //     sink reads at most one block per candidate, not exactly one;
 //   * the record predicate: attribute in [lo, hi];
-//   * Algorithm 1's top-K heap, and the stale_admitted flag.
+//   * Algorithm 1's top-K heap (TopKCollector: records stay in their
+//     slots, sorted once at Finish), and the stale_admitted flag.
 //
 // Chunked resolution only changes WHEN candidates are checked, never WHAT is
 // admitted: WouldAdmit reads the heap as of the last chunk boundary, a
@@ -31,11 +36,11 @@
 #ifndef LEVELDBPP_CORE_CANDIDATE_SINK_H_
 #define LEVELDBPP_CORE_CANDIDATE_SINK_H_
 
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/secondary_index.h"
+#include "util/key_set.h"
 
 namespace leveldbpp {
 
@@ -72,6 +77,10 @@ class CandidateSink {
   /// read_parallelism <= 1).
   Status Offer(const Slice& primary_key, SequenceNumber stored_seq);
 
+  /// Offer for a caller that dedupes itself: `primary_key` must not have
+  /// been offered to this sink before. Skips the sink's seen-set.
+  Status OfferDistinct(const Slice& primary_key, SequenceNumber stored_seq);
+
   /// Offer a whole batch newest-stored-first: sorts `candidates` by stored
   /// seq descending (ties by primary key ascending) and offers them until
   /// the first one WouldAdmit rejects. Sound because a candidate validates
@@ -101,7 +110,7 @@ class CandidateSink {
   const std::string& attribute_;
   const Slice lo_, hi_;
   const size_t chunk_;
-  std::set<std::string> seen_;
+  KeySet seen_;
   std::vector<std::string> pending_;
   std::vector<SequenceNumber> pending_seqs_;  // Stored seq per pending key
   // Fetch's per-key outputs, reused from chunk to chunk.

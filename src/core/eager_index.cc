@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "core/candidate_sink.h"
 #include "core/posting_list.h"
+#include "util/key_set.h"
 #include "util/perf_context.h"
 
 namespace leveldbpp {
@@ -174,10 +174,10 @@ Status EagerIndex::EnumeratePostings(const Slice& value,
   }
   PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
   out->reserve(entries.size());
-  std::set<std::string> seen;
+  KeySet seen;
   for (PostingEntry& e : entries) {
     if (e.deleted) continue;
-    if (!seen.insert(e.primary_key).second) continue;
+    if (!seen.Insert(Slice(e.primary_key))) continue;
     out->push_back({std::move(e.primary_key), e.seq});
   }
   return Status::OK();

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "core/document.h"
 #include "env/thread_pool.h"
+#include "util/coding.h"
+#include "util/key_set.h"
 #include "util/perf_context.h"
 
 namespace leveldbpp {
@@ -34,11 +35,13 @@ Status SupersededWithinTable(Table* table, size_t block,
   BlockMemo memo;
   probe.io = table->InternalGet(read_options, lk.internal_key(), &memo,
                                 &probe, &KeyProbe::Save);
+  if (probe.hit()) {
+    *superseded = probe.seq > ikey.sequence;
+    return Status::OK();
+  }
   Status s;
-  if (!probe.Settles(paranoid, &s)) return Status::OK();
-  if (!probe.hit()) return s;
-  *superseded = probe.seq > ikey.sequence;
-  return Status::OK();
+  probe.Settles(paranoid, &s);  // OK unless the probe failed
+  return s;
 }
 
 // The most decoded blocks a top-K scan holds for one newest-first
@@ -122,8 +125,16 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
   // Records admitted to the heap, so one record matched in several recency
   // buckets is counted once. The GetLite validity check already rejects
   // superseded copies; the set only guards against double-admitting the
-  // SAME (key, seq) from overlapping sources.
-  std::set<std::pair<std::string, SequenceNumber>> admitted;
+  // SAME (key, seq) from overlapping sources. Keyed by
+  // EncodeKeyPair(key, fixed64 seq), which admitted_id builds in *buf.
+  KeySet admitted;
+  auto admitted_id = [](const Slice& user_key, SequenceNumber seq,
+                        std::string* buf) {
+    char seq_bytes[8];
+    EncodeFixed64(seq_bytes, seq);
+    EncodeKeyPair(user_key, Slice(seq_bytes, sizeof(seq_bytes)), buf);
+    return Slice(*buf);
+  };
 
   // Does the record itself match? Its attribute lies in [lo, hi].
   auto matches = [&](const Slice& record, std::string* attr_scratch) {
@@ -141,23 +152,25 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
                        std::string* attr_scratch, Status* s) {
     if (!heap.WouldAdmit(seq)) return false;
     if (!matches(record, attr_scratch)) return false;
-    if (admitted.count(std::make_pair(user_key.ToString(), seq)) != 0) {
+    // The attribute is compared, so attr_scratch is free to hold the id.
+    if (admitted.Contains(admitted_id(user_key, seq, attr_scratch))) {
       return false;
     }
     bool newest = false;
     *s = primary_->IsNewestVersion(view, user_key, seq, &newest, level, file);
     return s->ok() && newest;
   };
+  std::string id;  // admit's id buffer: admission runs on this thread
   auto admit = [&](const Slice& user_key, SequenceNumber seq,
                    const Slice& record) {
     if (!heap.WouldAdmit(seq)) return;
-    auto id = std::make_pair(user_key.ToString(), seq);
-    if (admitted.count(id) != 0) return;
+    const Slice key_seq = admitted_id(user_key, seq, &id);
+    if (admitted.Contains(key_seq)) return;
     QueryResult r;
-    r.primary_key = id.first;
+    r.primary_key = user_key.ToString();
     r.seq = seq;
     r.value = record.ToString();
-    if (heap.Add(std::move(r))) admitted.insert(std::move(id));
+    if (heap.Add(std::move(r))) admitted.Insert(key_seq);
   };
 
   // Holds a found entry in `out` for admission, testing it where it is

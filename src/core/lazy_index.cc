@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <set>
 
 #include "core/candidate_sink.h"
 #include "core/posting_list.h"
+#include "util/key_set.h"
 #include "util/perf_context.h"
 
 namespace leveldbpp {
@@ -79,9 +79,9 @@ Status LazyIndex::BulkLoad(const std::vector<IndexOp>& entries) {
   Status s;
   if (!empty_table) {
     for (auto& [attr_value, list] : lists) {
-      std::set<std::string> have;
+      KeySet have;
       for (const PostingEntry& e : list) {
-        have.insert(e.primary_key);
+        have.Insert(Slice(e.primary_key));
       }
       s = index_db_->GetFragments(
           ReadOptions(), Slice(attr_value),
@@ -91,7 +91,7 @@ Status LazyIndex::BulkLoad(const std::vector<IndexOp>& entries) {
             std::vector<PostingEntry> existing;
             ParseFragment(versions, &existing);
             for (PostingEntry& e : existing) {
-              if (have.insert(e.primary_key).second) {
+              if (have.Insert(Slice(e.primary_key))) {
                 list.push_back(std::move(e));
               }
             }
@@ -125,7 +125,9 @@ Status LazyIndex::Lookup(const Slice& value, size_t k,
   // entries are all newer than every fragment below it, so the scan stops
   // at the first level boundary where the heap is full.
   CandidateSink sink(primary_, k, attribute_, value, value);
-  std::set<std::string> seen;  // Shadowing: newer fragments win per key
+  // Shadowing: newer fragments win per key. It holds every key the sink
+  // is offered, so the sink's own seen-set is skipped (OfferDistinct).
+  KeySet seen;
   std::vector<PostingEntry> entries;
   Status validate_status;
   Status s = index_db_->GetFragments(
@@ -140,10 +142,10 @@ Status LazyIndex::Lookup(const Slice& value, size_t k,
         // the value is identical at every read_parallelism setting.
         PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
         for (const PostingEntry& e : entries) {
-          if (!seen.insert(e.primary_key).second) continue;
+          if (!seen.Insert(Slice(e.primary_key))) continue;
           if (e.deleted) continue;  // Marker shadows older occurrences
           if (!sink.WouldAdmit(e.seq)) continue;
-          validate_status = sink.Offer(Slice(e.primary_key), e.seq);
+          validate_status = sink.OfferDistinct(Slice(e.primary_key), e.seq);
           if (!validate_status.ok()) return false;
         }
         validate_status = sink.Flush();
@@ -168,7 +170,8 @@ Status LazyIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
   // every secondary key in [lo, hi]; per-key shadowing tracks which
   // (secondary key, primary key) pairs newer levels already decided.
   CandidateSink sink(primary_, k, attribute_, lo, hi);
-  std::set<std::pair<std::string, std::string>> seen;  // (attr val, key)
+  KeySet seen;  // EncodeKeyPair(attr val, key)
+  std::string pair;
   // A record updated between two secondary keys both inside [lo, hi] has
   // live-looking entries under each; only one result may be emitted. The
   // validity check resolves to the same current record either way, so the
@@ -196,8 +199,8 @@ Status LazyIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
       // write): they are the bucket's one fragment of the key.
       attr.assign(ikey.user_key.data(), ikey.user_key.size());
       // A whole list tombstoned by a newer bucket is passed over.
-      const bool shadowed =
-          seen.count(std::make_pair(attr, std::string())) != 0;
+      EncodeKeyPair(Slice(attr), Slice(), &pair);
+      const bool shadowed = seen.Contains(Slice(pair));
       entries.clear();
       size_t versions = 0;
       bool tombstone = false;
@@ -215,9 +218,8 @@ Status LazyIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
       if (versions > 1) PostingList::MergeForRead(&entries);
       PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
       for (const PostingEntry& e : entries) {
-        if (!seen.insert(std::make_pair(attr, e.primary_key)).second) {
-          continue;
-        }
+        EncodeKeyPair(Slice(attr), Slice(e.primary_key), &pair);
+        if (!seen.Insert(Slice(pair))) continue;
         if (e.deleted) continue;
         if (!sink.WouldAdmit(e.seq)) continue;
         s = sink.Offer(Slice(e.primary_key), e.seq);
@@ -226,7 +228,8 @@ Status LazyIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
       if (tombstone) {
         // A whole-list tombstone shadows every pair of this secondary key
         // in older buckets: recorded as the sentinel primary key "".
-        seen.emplace(attr, std::string());
+        EncodeKeyPair(Slice(attr), Slice(), &pair);
+        seen.Insert(Slice(pair));
       }
     }
     if (!it->status().ok()) return it->status();
@@ -245,7 +248,7 @@ Status LazyIndex::EnumeratePostings(const Slice& value,
   // Same fragment walk as Lookup, minus top-K pruning and validation: the
   // newest-first order plus the seen set resolve shadowing and deletion
   // markers, leaving exactly the live (unvalidated) posting set.
-  std::set<std::string> seen;
+  KeySet seen;
   Status s = index_db_->GetFragments(
       ReadOptions(), value,
       [&](int /*rank*/, SequenceNumber /*fseq*/, bool frag_deleted,
@@ -255,7 +258,7 @@ Status LazyIndex::EnumeratePostings(const Slice& value,
         ParseFragment(versions, &entries);
         PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
         for (PostingEntry& e : entries) {
-          if (!seen.insert(e.primary_key).second) continue;
+          if (!seen.Insert(Slice(e.primary_key))) continue;
           if (e.deleted) continue;
           out->push_back({std::move(e.primary_key), e.seq});
         }

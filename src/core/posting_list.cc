@@ -31,8 +31,42 @@ bool PostingList::Parse(const Slice& data, std::vector<PostingEntry>* out) {
   return ParseAppend(data, out);
 }
 
+namespace {
+
+// The one-entry fragment a Lazy PUT or DELETE writes, [["k",seq]] or
+// [["k",seq,1]], read without the scanner when its key has no escape and
+// its seq is 1 to 15 digits with no leading zero (so the scanner's double
+// holds it exactly). Returns false, appending nothing, on any other bytes:
+// the scanner then reads or rejects them.
+bool ParseOneEntry(const Slice& data, std::vector<PostingEntry>* out) {
+  const char* p = data.data();
+  const char* const end = p + data.size();
+  if (end - p < 8 || p[0] != '[' || p[1] != '[' || p[2] != '"') return false;
+  p += 3;
+  const char* const key = p;
+  while (p != end && *p != '"' && *p != '\\') p++;
+  if (p == end || *p != '"') return false;
+  const char* const key_end = p++;
+  if (p == end || *p++ != ',') return false;
+  const char* const digits = p;
+  SequenceNumber seq = 0;
+  while (p != end && *p >= '0' && *p <= '9' && p - digits < 16) {
+    seq = seq * 10 + static_cast<SequenceNumber>(*p++ - '0');
+  }
+  const ptrdiff_t n = p - digits;
+  if (n == 0 || n > 15 || (n > 1 && *digits == '0')) return false;
+  const Slice rest(p, static_cast<size_t>(end - p));
+  const bool deleted = rest == Slice(",1]]");
+  if (!deleted && rest != Slice("]]")) return false;
+  out->emplace_back(std::string(key, key_end), seq, deleted);
+  return true;
+}
+
+}  // namespace
+
 bool PostingList::ParseAppend(const Slice& data,
                               std::vector<PostingEntry>* out) {
+  if (ParseOneEntry(data, out)) return true;
   using Type = json::Value::Type;
   const size_t old_size = out->size();
   // Each tuple decodes straight into its entry: the key string, the seq

@@ -321,9 +321,11 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit) {
   Iterator* iter = mem->NewIterator();
 
   // Versions shadowed only above the oldest live snapshot must survive the
-  // flush so snapshot reads stay exact (same bound DoCompactionWork uses).
+  // flush so snapshot reads stay exact. With no snapshot every shadowed
+  // version goes. Not LastSequence(): during RecoverLogFile it is still the
+  // MANIFEST's, below every version the WAL replay wrote.
   const SequenceNumber smallest_snapshot =
-      snapshots_.empty() ? versions_->LastSequence()
+      snapshots_.empty() ? kMaxSequenceNumber
                          : snapshots_.oldest()->sequence();
 
   // The build reads only `mem` (pinned by the caller's reference) and

@@ -275,10 +275,10 @@ Status Version::WalkResidences(
       probe.io = t->InternalGet(options, k.internal_key(), pins->memo(),
                                 &probe, &KeyProbe::Save);
     }
-    if (!probe.Settles(paranoid, s)) return false;
-    if (!probe.hit()) return true;
-    *s = Status::OK();
-    return !on_hit(level, probe);
+    // A hit goes straight to on_hit: Settles would only build the status
+    // (OK, or NotFound for a deletion) that on_hit decides for itself.
+    if (probe.hit()) return !on_hit(level, probe);
+    return probe.Settles(paranoid, s);
   };
   Status s;
   end_level = std::min(end_level, NumLevels());
@@ -309,18 +309,27 @@ Status Version::WalkResidences(
 Status Version::Get(const ReadOptions& options, const LookupKey& k,
                     TablePins* pins, std::string* value,
                     SequenceNumber* seq_out, int* level_out) {
-  Status result = Status::NotFound(Slice());
+  // The outputs travel behind one pointer, so the std::function holds the
+  // callback inline instead of allocating for it; and NotFound is built
+  // only once the walk has ended without a value.
+  struct Out {
+    std::string* value;
+    SequenceNumber* seq;
+    int* level;
+    bool found;
+  } out{value, seq_out, level_out, false};
   Status s = WalkResidences(options, k, NumLevels(), pins, nullptr,
-                            [&](int level, KeyProbe& probe) {
+                            [&out](int level, KeyProbe& probe) {
                               if (probe.state == KeyProbe::kFound) {
-                                value->swap(probe.value);
-                                if (seq_out != nullptr) *seq_out = probe.seq;
-                                if (level_out != nullptr) *level_out = level;
-                                result = Status::OK();
+                                out.value->swap(probe.value);
+                                if (out.seq != nullptr) *out.seq = probe.seq;
+                                if (out.level != nullptr) *out.level = level;
+                                out.found = true;
                               }
                               return false;
                             });
-  return s.ok() ? result : s;
+  if (!s.ok()) return s;
+  return out.found ? Status::OK() : Status::NotFound(Slice());
 }
 
 bool Version::OverlapInLevel(int level, const Slice* smallest_user_key,

@@ -102,10 +102,10 @@ class Version {
   /// (at level 0 every file whose range covers it, newest first; at each
   /// level 1 .. end_level - 1 the one file FindFile lands on), probes each
   /// through `pins` (its tables, and its BlockMemo for the data block) into
-  /// a KeyProbe and settles it with KeyProbe::Settles. A hit (a value or a
-  /// deletion) goes to on_hit(level, probe), which returns false to stop
-  /// the walk; a settling error ends the walk and is returned. The walk
-  /// allocates nothing.
+  /// a KeyProbe. A hit (a value or a deletion) goes to on_hit(level,
+  /// probe), which returns false to stop the walk; any other probe is
+  /// settled with KeyProbe::Settles, and a settling error ends the walk and
+  /// is returned. The walk allocates nothing.
   /// `skip(level, file)`, when given, is asked first and returning true
   /// passes over that file without probing it (GetLite's metadata-only
   /// filter, which reads the table through the same `pins`).

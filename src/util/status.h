@@ -1,7 +1,8 @@
 // Status: error propagation without exceptions (LevelDB idiom).
 //
-// All fallible engine operations return a Status. The zero-cost common case
-// (OK) is represented by an empty state pointer.
+// All fallible engine operations return a Status. A status without a message
+// — OK, or the bare NotFound a point read returns for a missing key — holds
+// no state, so the common cases allocate nothing.
 
 #ifndef LEVELDBPP_UTIL_STATUS_H_
 #define LEVELDBPP_UTIL_STATUS_H_
@@ -17,6 +18,18 @@ namespace leveldbpp {
 class Status {
  public:
   Status() = default;
+  Status(const Status&) = default;
+  Status& operator=(const Status&) = default;
+  // A moved-from Status reads OK, so one can be reused after its error
+  // has been moved out.
+  Status(Status&& other) noexcept
+      : code_(std::exchange(other.code_, kOk)),
+        state_(std::move(other.state_)) {}
+  Status& operator=(Status&& other) noexcept {
+    code_ = std::exchange(other.code_, kOk);
+    state_ = std::move(other.state_);
+    return *this;
+  }
 
   static Status OK() { return Status(); }
   static Status NotFound(const Slice& msg, const Slice& msg2 = Slice()) {
@@ -47,7 +60,7 @@ class Status {
     return Status(kDeadlineExceeded, msg, msg2);
   }
 
-  bool ok() const { return state_ == nullptr; }
+  bool ok() const { return code_ == kOk; }
   bool IsNotFound() const { return code() == kNotFound; }
   bool IsCorruption() const { return code() == kCorruption; }
   bool IsNotSupported() const { return code() == kNotSupported; }
@@ -58,7 +71,7 @@ class Status {
 
   /// Human-readable representation, e.g. "NotFound: key missing".
   std::string ToString() const {
-    if (state_ == nullptr) return "OK";
+    if (code_ == kOk) return "OK";
     const char* type = "";
     switch (code()) {
       case kOk:
@@ -86,7 +99,7 @@ class Status {
         type = "Deadline exceeded: ";
         break;
     }
-    return std::string(type) + state_->msg;
+    return state_ == nullptr ? std::string(type) : type + *state_;
   }
 
  private:
@@ -101,25 +114,22 @@ class Status {
     kDeadlineExceeded = 7,
   };
 
-  struct State {
-    Code code;
-    std::string msg;
-  };
-
-  Status(Code code, const Slice& msg, const Slice& msg2)
-      : state_(std::make_shared<State>()) {
-    state_->code = code;
-    state_->msg = msg.ToString();
+  Status(Code code, const Slice& msg, const Slice& msg2) : code_(code) {
+    if (msg.empty() && msg2.empty()) return;
+    auto text = std::make_shared<std::string>(msg.ToString());
     if (!msg2.empty()) {
-      state_->msg += ": ";
-      state_->msg += msg2.ToString();
+      *text += ": ";
+      *text += msg2.ToString();
     }
+    state_ = std::move(text);
   }
 
-  Code code() const { return state_ == nullptr ? kOk : state_->code; }
+  Code code() const { return code_; }
 
-  // shared_ptr keeps Status copyable and cheap to move; error paths are cold.
-  std::shared_ptr<State> state_;
+  Code code_ = kOk;
+  // The message, when there is one. shared_ptr keeps Status copyable and
+  // cheap to move; error paths are cold.
+  std::shared_ptr<const std::string> state_;
 };
 
 }  // namespace leveldbpp

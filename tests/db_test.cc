@@ -158,6 +158,26 @@ TEST_F(DBTest, RecoveryWithLargeLog) {
   ASSERT_EQ(std::string(10, '4'), Get("small4"));
 }
 
+TEST_F(DBTest, RecoveryFlushKeepsOneVersionPerKey) {
+  // Recovery writes the replayed WAL to a table with no snapshot live, so
+  // only each key's newest version may survive that flush.
+  for (int i = 0; i < 50; i++) {
+    ASSERT_TRUE(Put("foo", "v" + std::to_string(i)).ok());
+  }
+  Reopen(LastOptions());
+  ASSERT_EQ("v49", Get("foo"));
+  DBImpl::LevelIterators levels;
+  ASSERT_TRUE(db_->NewLevelIterators(ReadOptions(), &levels).ok());
+  int versions = 0;
+  for (size_t i = levels.first_disk; i < levels.iters.size(); i++) {
+    Iterator* it = levels.iters[i];
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      if (ExtractUserKey(it->key()) == Slice("foo")) versions++;
+    }
+  }
+  EXPECT_EQ(1, versions);
+}
+
 TEST_F(DBTest, ManyKeysWithCompactions) {
   // Enough data to trigger multiple flushes and compactions.
   std::map<std::string, std::string> model;

@@ -78,6 +78,21 @@ TEST(PostingList, MillionDeepNestingIsMalformed) {
   EXPECT_FALSE(PostingList::Parse(Slice(std::string(1000000, '[')), &parsed));
 }
 
+// Parse must accept exactly what the DOM-based reference accepts, with the
+// same entries.
+static void ExpectParseMatchesReference(const std::string& data) {
+  std::vector<PostingEntry> want, got;
+  const bool want_ok = json_reference::RefPostingParse(Slice(data), &want);
+  ASSERT_EQ(want_ok, PostingList::Parse(Slice(data), &got)) << data;
+  if (!want_ok) return;
+  ASSERT_EQ(want.size(), got.size()) << data;
+  for (size_t j = 0; j < want.size(); j++) {
+    ASSERT_EQ(want[j].primary_key, got[j].primary_key) << data;
+    ASSERT_EQ(want[j].seq, got[j].seq) << data;
+    ASSERT_EQ(want[j].deleted, got[j].deleted) << data;
+  }
+}
+
 // Differential: Parse against the DOM-based reference on mutated lists —
 // serialized ones with awkward keys, and hand-written tuples with extra
 // elements, non-numeric seqs and assorted number forms.
@@ -103,18 +118,52 @@ TEST(PostingList, ParseMatchesReferenceOnMutatedLists) {
     PostingList::Serialize(entries, &seeds.back());
   }
   for (int i = 0; i < json_reference::kFuzzCases; i++) {
-    const std::string data =
-        json_reference::Mutate(seeds[rnd.Uniform(seeds.size())], &rnd);
-    std::vector<PostingEntry> want, got;
-    const bool want_ok = json_reference::RefPostingParse(Slice(data), &want);
-    ASSERT_EQ(want_ok, PostingList::Parse(Slice(data), &got)) << data;
-    if (!want_ok) continue;
-    ASSERT_EQ(want.size(), got.size()) << data;
-    for (size_t j = 0; j < want.size(); j++) {
-      ASSERT_EQ(want[j].primary_key, got[j].primary_key) << data;
-      ASSERT_EQ(want[j].seq, got[j].seq) << data;
-      ASSERT_EQ(want[j].deleted, got[j].deleted) << data;
-    }
+    ASSERT_NO_FATAL_FAILURE(ExpectParseMatchesReference(
+        json_reference::Mutate(seeds[rnd.Uniform(seeds.size())], &rnd)));
+  }
+}
+
+// Differential: the one-entry fragments a Lazy PUT or DELETE writes, which
+// Parse reads without the scanner, against the DOM-based reference — the
+// written forms, near misses the scanner must decide (escaped keys, wide
+// or odd seqs, other flags, whitespace, a second entry), and mutations of
+// them all.
+TEST(PostingList, OneEntryFragmentsMatchReference) {
+  std::vector<std::string> seeds = {
+      R"([["t000000000042",123]])",
+      R"([["t000000000042",123,1]])",
+      R"([["",0]])",
+      R"([["k",999999999999999]])",
+      R"([["k",1000000000000000]])",
+      R"([["k",12345678901234567,1]])",
+      R"([["k",007]])",
+      R"([["k",-5]])",
+      R"([["k",5.0]])",
+      R"([["k",5e1]])",
+      R"([["k",5,0]])",
+      R"([["k",5,2]])",
+      R"([["k",5,1,1]])",
+      R"([["a\"b\\c",5]])",
+      R"([["a\u0041",5,1]])",
+      R"([ ["k",5]])",
+      R"([["k", 5]])",
+      R"([["k",5]] )",
+      R"([["k",5],["j",4]])",
+      std::string("[[\"k\x01\xff\x7f\",7]]"),
+  };
+  for (const std::string& seed : seeds) {
+    ASSERT_NO_FATAL_FAILURE(ExpectParseMatchesReference(seed));
+  }
+  std::vector<PostingEntry> entries;
+  ASSERT_TRUE(PostingList::Parse(Slice(seeds[1]), &entries));
+  ASSERT_EQ(1u, entries.size());
+  EXPECT_EQ("t000000000042", entries[0].primary_key);
+  EXPECT_EQ(123u, entries[0].seq);
+  EXPECT_TRUE(entries[0].deleted);
+  Random64 rnd(2026);
+  for (int i = 0; i < json_reference::kFuzzCases; i++) {
+    ASSERT_NO_FATAL_FAILURE(ExpectParseMatchesReference(
+        json_reference::Mutate(seeds[rnd.Uniform(seeds.size())], &rnd)));
   }
 }
 

@@ -74,4 +74,62 @@ TEST(TopK, NotFullUntilK) {
   EXPECT_TRUE(heap.Full());
 }
 
+// Equal seqs — shards without a shared sequence counter produce them —
+// come out ordered by primary key, whatever order they were added in.
+TEST(TopK, TiedSeqsOrderedByKeyUnlimited) {
+  TopKCollector heap(0);
+  for (const char* key : {"d", "b", "e", "a", "c"}) heap.Add(QR(key, 7));
+  heap.Add(QR("z", 9));
+  heap.Add(QR("y", 3));
+  std::string order;
+  for (const QueryResult& r : heap.TakeSortedNewestFirst()) {
+    order += r.primary_key;
+  }
+  EXPECT_EQ("zabcdey", order);
+}
+
+TEST(TopK, TiedSeqsOrderedByKeyLimited) {
+  TopKCollector heap(4);
+  for (const char* key : {"d", "b", "a", "c"}) heap.Add(QR(key, 7));
+  // Equal to the root: rejected, as any candidate not strictly newer is.
+  EXPECT_FALSE(heap.Add(QR("0", 7)));
+  EXPECT_TRUE(heap.Add(QR("x", 8)));
+  std::string order;
+  for (const QueryResult& r : heap.TakeSortedNewestFirst()) {
+    EXPECT_TRUE(r.seq == 8 || r.seq == 7);
+    order += r.primary_key;
+  }
+  // One of the four seq-7 records made room for "x"; the rest keep key
+  // order.
+  ASSERT_EQ(4u, order.size());
+  EXPECT_EQ('x', order[0]);
+  EXPECT_TRUE(std::is_sorted(order.begin() + 1, order.end())) << order;
+}
+
+// A record displacing the root takes over the root's slot: every result
+// keeps its own key and value, and the K newest come out in order.
+TEST(TopK, RecordsStayWithTheirSeqs) {
+  for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{64}}) {
+    TopKCollector heap(k);
+    Random64 rnd(k + 1);
+    std::vector<SequenceNumber> seqs;
+    for (int i = 0; i < 500; i++) {
+      const SequenceNumber seq = rnd.Next() >> 20;  // Distinct in practice
+      seqs.push_back(seq);
+      QueryResult r = QR("k" + std::to_string(seq), seq);
+      r.value = "v" + std::to_string(seq);
+      heap.Add(std::move(r));
+    }
+    std::sort(seqs.rbegin(), seqs.rend());
+    if (k != 0) seqs.resize(k);
+    const std::vector<QueryResult> results = heap.TakeSortedNewestFirst();
+    ASSERT_EQ(seqs.size(), results.size()) << k;
+    for (size_t i = 0; i < results.size(); i++) {
+      EXPECT_EQ(seqs[i], results[i].seq) << k;
+      EXPECT_EQ("k" + std::to_string(seqs[i]), results[i].primary_key) << k;
+      EXPECT_EQ("v" + std::to_string(seqs[i]), results[i].value) << k;
+    }
+  }
+}
+
 }  // namespace leveldbpp
